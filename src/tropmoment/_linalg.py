@@ -2,15 +2,17 @@
 
 Everything in this package runs at desk scale (matrix sizes bounded by the
 lattice rank plus a handful of graph nodes), so these routines optimize for
-exactness and determinism, not asymptotics.  Integer elimination uses the
-fraction-free Bareiss scheme; rational systems are row-scaled to integers
-first so that the hot paths stay in plain ``int`` arithmetic.
+exactness and determinism, not asymptotics.  Determinants, ranks and
+solves all use fraction-free (Bareiss) elimination; one Gauss-Jordan pass
+solves a system for every right-hand side at once.  Rational input is
+scaled to integers first (``integer_row``) so that the hot paths stay in
+plain ``int`` arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor
+from math import lcm
 
 
 class NonPositivePivot(Exception):
@@ -50,23 +52,43 @@ def int_det(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def int_solve(a: list[list[int]], b: list[int]) -> tuple[list[int], int] | None:
-    """Solve a square integer system by Cramer's rule.
+def int_solve(a: list[list[int]], rhs: list[list[int]]) -> tuple[list[list[int]], int] | None:
+    """Solve a square integer system for several right-hand sides at once.
 
-    Returns ``(nums, den)`` with solution ``x_i = nums[i] / den`` and
-    ``den = det(a) != 0``, or ``None`` if the matrix is singular.
+    Fraction-free Gauss-Jordan (Bareiss) elimination on ``[a | b_1 ... b_k]``,
+    where ``rhs`` lists the vectors ``b_c``.  Every intermediate entry is a
+    minor of the augmented matrix, so each division is exact.  Returns
+    ``(nums, den)`` with ``den = |det(a)| > 0`` and ``x_c[i] = nums[c][i] / den``,
+    or ``None`` if the matrix is singular.
     """
-    den = int_det(a)
-    if den == 0:
-        return None
     n = len(a)
-    nums = []
-    for i in range(n):
-        cols = [row[:] for row in a]
-        for r in range(n):
-            cols[r][i] = b[r]
-        nums.append(int_det(cols))
-    return nums, den
+    k = len(rhs)
+    m = [a[r] + [b[r] for b in rhs] for r in range(n)]
+    width = n + k
+    prev = 1
+    for p in range(n):
+        if m[p][p] == 0:
+            for i in range(p + 1, n):
+                if m[i][p] != 0:
+                    m[p], m[i] = m[i], m[p]
+                    break
+            else:
+                return None
+        row_p = m[p]
+        pivot = row_p[p]
+        for i in range(n):
+            if i == p:
+                continue
+            row_i = m[i]
+            f = row_i[p]
+            for j in range(p + 1, width):
+                row_i[j] = (row_i[j] * pivot - f * row_p[j]) // prev
+            row_i[p] = 0
+        prev = pivot
+    # Each diagonal entry is now det(a) up to the sign of the row swaps.
+    sign = 1 if prev > 0 else -1
+    nums = [[sign * m[i][n + c] for i in range(n)] for c in range(k)]
+    return nums, sign * prev
 
 
 def int_rank(rows: list[list[int]]) -> int:
@@ -97,35 +119,29 @@ def int_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def _scale_rows(a, b):
-    """Row-scale a rational augmented system to integers (solution unchanged)."""
+def integer_row(values) -> tuple[list[int], int]:
+    """Scale ints and Fractions by the lcm of their denominators:
+    ``(ints, lcm)``."""
+    # Pairwise, not lcm(*...): on CPython 3.11 star-call argument tuples
+    # piled up in the tuple free lists, ~1 MB per tau-resistance pass.
+    den = 1
+    for v in values:
+        den = lcm(den, v.denominator)
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def solve(a, rhs) -> list[list[Fraction]] | None:
+    """Exact solutions of a square rational system, one per right-hand side
+    in ``rhs``, or None if singular.  Each augmented row is scaled to
+    integers on its own, which leaves the solutions unchanged."""
     n = len(a)
-    ai = []
-    bi = []
-    for r in range(n):
-        entries = [Fraction(x) for x in a[r]] + [Fraction(b[r])]
-        den = 1
-        for e in entries:
-            den = den * e.denominator // _gcd(den, e.denominator)
-        ai.append([int(e * den) for e in entries[:-1]])
-        bi.append(int(entries[-1] * den))
-    return ai, bi
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def solve(a, b) -> list[Fraction] | None:
-    """Exact solution of a square rational system, or None if singular."""
-    ai, bi = _scale_rows(a, b)
-    res = int_solve(ai, bi)
+    rows = [integer_row(list(a[r]) + [b[r] for b in rhs])[0] for r in range(n)]
+    res = int_solve([row[:n] for row in rows],
+                    [[row[n + c] for row in rows] for c in range(len(rhs))])
     if res is None:
         return None
     nums, den = res
-    return [Fraction(num, den) for num in nums]
+    return [[Fraction(x, den) for x in col] for col in nums]
 
 
 def ldl(gram) -> tuple[list[Fraction], list[list[Fraction]]]:
@@ -158,15 +174,5 @@ def affine_rank(points) -> int:
     if len(points) <= 1:
         return 0
     base = points[0]
-    diffs = []
-    for p in points[1:]:
-        row = [Fraction(x) - Fraction(y) for x, y in zip(p, base)]
-        den = 1
-        for e in row:
-            den = den * e.denominator // _gcd(den, e.denominator)
-        diffs.append([int(e * den) for e in row])
-    return int_rank(diffs)
-
-
-def floor_fraction(x: Fraction) -> int:
-    return floor(x)
+    return int_rank([integer_row([x - y for x, y in zip(p, base)])[0]
+                     for p in points[1:]])

@@ -142,6 +142,17 @@ def norm_sq(lat: GramLattice, x) -> Fraction:
     return inner(lat, x, x)
 
 
+def _covering_box_sq(lat: GramLattice) -> list[Fraction]:
+    """Squared half-widths (G^-1)_ii * rho^2 of a coordinate box around the
+    Voronoi cell: rho^2 = (g/4) trace(G) bounds the covering radius, and
+    Cauchy-Schwarz gives x_i^2 <= (G^-1)_ii * |x|^2."""
+    g = lat.rank
+    rho_sq = Fraction(g, 4) * sum(lat.gram[i][i] for i in range(g))
+    identity = [[int(i == j) for j in range(g)] for i in range(g)]
+    inverse = _linalg.solve(lat.gram, identity)
+    return [inverse[i][i] * rho_sq for i in range(g)]
+
+
 def closest_vectors_all(lat: GramLattice, point) -> tuple[Fraction, list[tuple[int, ...]]]:
     """All lattice vectors minimizing the squared distance to ``point``.
 

@@ -1,13 +1,21 @@
 """Metric graphs: length, effective resistance, the tau invariant, and
 cycle-space Gram matrices.
 
-Resistances are computed exactly: edges are subdivided at the query
-points, the weighted graph Laplacian (conductance 1/length) is grounded
-at one node and solved over Q.  The tau invariant integrates (f')^2 over
-the graph for f = r(., q)/2; on every edge r restricted to the edge is a
-quadratic polynomial of the arclength, so three exact samples (endpoints
-and midpoint) determine it and the integral has a closed form.  The
-result does not depend on the base point q.
+Resistances are computed exactly: edges are subdivided at the interior
+query points, the weighted graph Laplacian (conductance 1/length) is
+grounded at one node q, and one fraction-free solve over Q inverts it.
+The inverse is the Green's function G with r(p, q) = G(p, p) and
+r(a, b) = G(a, a) + G(b, b) - 2 G(a, b).  The tau invariant is
+
+    tau = (1/2) integral of r(x, q) d mu_can(x),
+
+where mu_can is the canonical measure (Chinburg-Rumely; Baker-Rumely,
+Potential Theory on the Berkovich Projective Line): mass 1 - val(p)/2 at
+each vertex p and density (1 - F_e)/L_e on each edge e, with Foster
+coefficient F_e = r(e-, e+)/L_e.  On an edge, r(., q) is the linear
+interpolation of its endpoint values plus (1 - F_e) t (L_e - t)/L_e, so
+the edge contributes (1 - F_e)((r(e-,q) + r(e+,q))/2 + L_e (1 - F_e)/6).
+The result does not depend on the base point q.
 
 The cycle space of the graph carries the Gram matrix
 
@@ -165,99 +173,73 @@ def _subdivided(graph: MetricGraph, interior_points):
     return edges, nodes, ids
 
 
-def _node_resistance(edges, node_count: int, a: int, b: int) -> Fraction:
-    """Resistance between two nodes: grounded Laplacian, exact solve."""
-    if a == b:
-        return Fraction(0)
-    size = node_count - 1
+def _green(edges, node_count: int, ground: int, sources) -> list[list[Fraction]]:
+    """Rows G(s, .) of the Green's function grounded at ``ground``.
 
-    def slot(v: int) -> int:
-        # ground node b: delete its row and column
-        return v if v < b else v - 1
-
-    lap = [[Fraction(0)] * size for _ in range(size)]
+    G(s, v) is the potential at node v when a unit current enters at s and
+    leaves at ``ground``: the inverse of the Laplacian (conductance
+    1/length) with the ground's row and column deleted, padded with zeros
+    at the ground.  Then r(s, ground) = G(s, s) and, for any nodes a, b,
+    r(a, b) = G(a, a) + G(b, b) - 2 G(a, b).  One fraction-free solve
+    covers every source.
+    """
+    lap = [[Fraction(0)] * node_count for _ in range(node_count)]
     for t, h, length in edges:
         if t == h:
             continue
         c = Fraction(1) / length
-        if t != b:
-            lap[slot(t)][slot(t)] += c
-        if h != b:
-            lap[slot(h)][slot(h)] += c
-        if t != b and h != b:
-            lap[slot(t)][slot(h)] -= c
-            lap[slot(h)][slot(t)] -= c
-    rhs = [Fraction(0)] * size
-    rhs[slot(a)] = Fraction(1)
-    sol = _linalg.solve(lap, rhs)
+        lap[t][t] += c
+        lap[h][h] += c
+        lap[t][h] -= c
+        lap[h][t] -= c
+    del lap[ground]
+    for row in lap:
+        del row[ground]
+    free = [v for v in range(node_count) if v != ground]
+    sol = _linalg.solve(lap, [[int(v == s) for v in free] for s in sources])
     if sol is None:
         raise DisconnectedGraphError("singular Laplacian: graph not connected")
-    return sol[slot(a)]
+    return [x[:ground] + [Fraction(0)] + x[ground:] for x in sol]
 
 
 def effective_resistance(graph: MetricGraph, p, q) -> Fraction:
     """Effective resistance between two points (vertex ids or GraphPoints)."""
     rp, rq = _resolve(graph, p), _resolve(graph, q)
-    interior = [x for x in (rp, rq) if x[0] == "interior"]
     if rp == rq:
         return Fraction(0)
+    interior = [x for x in (rp, rq) if x[0] == "interior"]
     edges, node_count, ids = _subdivided(graph, interior)
     it = iter(ids)
     a = rp[1] if rp[0] == "vertex" else next(it)
     b = rq[1] if rq[0] == "vertex" else next(it)
-    if a == b:
-        return Fraction(0)
-    return _node_resistance(edges, node_count, a, b)
-
-
-def _edge_tau_term(edges, node_count, base, t, h, length) -> Fraction:
-    """Integral of (r'(x, base)/2)^2 along one edge of the network.
-
-    r restricted to the edge is quadratic in the arclength parameter;
-    fit through the exact values at offsets 0, L/2, L.
-    """
-    r0 = _node_resistance(edges, node_count, t, base)
-    r_l = _node_resistance(edges, node_count, h, base)
-    # temporary midpoint node; drop exactly one copy of the edge
-    # (parallel copies must stay)
-    removed = False
-    mid_edges = []
-    for e in edges:
-        if not removed and e == (t, h, length):
-            removed = True
-            continue
-        mid_edges.append(e)
-    half = length / 2
-    mid = node_count
-    mid_edges.append((t, mid, half))
-    mid_edges.append((mid, h, half))
-    r_m = _node_resistance(mid_edges, node_count + 1, mid, base)
-
-    diff_l = r_l - r0
-    diff_m = r_m - r0
-    qa = 2 * (diff_l - 2 * diff_m) / (length * length)
-    qb = (4 * diff_m - diff_l) / length
-    # integral of ((2*qa*t + qb)/2)^2 over [0, L]
-    return (4 * qa * qa * length**3 / 3
-            + 2 * qa * qb * length**2
-            + qb * qb * length) / 4
+    (row,) = _green(edges, node_count, b, [a])
+    return row[a]
 
 
 def tau(graph: MetricGraph, q=0) -> Fraction:
-    """The tau invariant: integral of (f')^2 with f = r(., q)/2.
+    """The tau invariant: (1/2) integral of r(x, q) d mu_can(x).
 
     Independent of the base point q (vertex id or GraphPoint); q defaults
-    to vertex 0.  A base point interior to an edge is made a node by a
-    permanent subdivision before the per-edge integrals are accumulated.
+    to vertex 0.  A base point interior to an edge is made a node by
+    subdividing its edge; the Green's function grounded at q then gives
+    every r(p, q) and every Foster coefficient F_e = r(e-, e+) / L_e.
     """
     rq = _resolve(graph, q)
     interior = [rq] if rq[0] == "interior" else []
     edges, node_count, ids = _subdivided(graph, interior)
     base = rq[1] if rq[0] == "vertex" else ids[0]
+    green = _green(edges, node_count, base, range(node_count))
+    r_base = [green[v][v] for v in range(node_count)]
+    valence = [0] * node_count
     total = Fraction(0)
     for t, h, length in edges:
-        total += _edge_tau_term(edges, node_count, base, t, h, length)
-    return total
+        valence[t] += 1
+        valence[h] += 1
+        slack = 1 - (r_base[t] + r_base[h] - 2 * green[t][h]) / length  # 1 - F_e
+        total += slack * ((r_base[t] + r_base[h]) / 2 + length * slack / 6)
+    for v in range(node_count):
+        total += (1 - Fraction(valence[v], 2)) * r_base[v]
+    return total / 2
 
 
 def cycle_basis(graph: MetricGraph) -> list[list[int]]:

@@ -5,8 +5,8 @@ The cell of a Gram lattice G is cut out by one half-space per Voronoi
 relevant vector u:  [u, x] <= [u, u] / 2.  Vertices are recovered exactly
 over Q.  Two enumeration paths are used:
 
-* exhaustive rank-many subsets of facets (integer Cramer solves), when the
-  number of subsets is small, and
+* exhaustive rank-many subsets of facets (fraction-free integer solves),
+  when the number of subsets is small, and
 * an exact double-description sweep starting from a certified bounding
   box, for cells with many facets (rank-5 graph Jacobians already reach
   62 facets, where the subset count is in the millions).
@@ -30,10 +30,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
-from math import comb, factorial, isqrt
+from math import comb, factorial, isqrt, prod
 
 from . import _linalg
-from .lattice import GramLattice, norm_sq, relevant_vectors
+from .lattice import GramLattice, _covering_box_sq, norm_sq, relevant_vectors
 
 __all__ = [
     "HalfSpace",
@@ -126,28 +126,20 @@ class Polytope:
 
 
 def _integer_constraints(halfspaces) -> tuple[list[list[int]], list[int]]:
-    """Scale all constraints to integers (one common row scale)."""
-    den = 1
-    for hs in halfspaces:
-        for e in hs.row:
-            den = den * e.denominator // _linalg._gcd(den, e.denominator)
-        den = den * hs.offset.denominator // _linalg._gcd(den, hs.offset.denominator)
-    a = [[int(e * den) for e in hs.row] for hs in halfspaces]
-    b = [int(hs.offset * den) for hs in halfspaces]
-    return a, b
+    """Scale each constraint to integers; a positive row scale changes
+    neither the half-space nor any solve or sign test below."""
+    rows = [_linalg.integer_row(hs.row + (hs.offset,))[0] for hs in halfspaces]
+    return [row[:-1] for row in rows], [row[-1] for row in rows]
 
 
 def _vertices_by_subsets(a, b, g) -> set[tuple[Fraction, ...]]:
     m = len(a)
     verts: set[tuple[Fraction, ...]] = set()
     for subset in combinations(range(m), g):
-        sol = _linalg.int_solve([a[i] for i in subset], [b[i] for i in subset])
+        sol = _linalg.int_solve([a[i] for i in subset], [[b[i] for i in subset]])
         if sol is None:
             continue
-        nums, den = sol
-        if den < 0:
-            nums = [-x for x in nums]
-            den = -den
+        (nums,), den = sol
         feasible = True
         for k in range(m):
             lhs = sum(a[k][j] * nums[j] for j in range(g))
@@ -161,16 +153,7 @@ def _vertices_by_subsets(a, b, g) -> set[tuple[Fraction, ...]]:
 
 def _certified_box_bound(lat: GramLattice) -> list[int]:
     """Integer coordinate bounds B with Vor(0) strictly inside [-B, B]^g."""
-    g = lat.rank
-    trace = sum(lat.gram[i][i] for i in range(g))
-    rho_sq = Fraction(g, 4) * trace  # >= covering radius squared
-    bounds = []
-    for i in range(g):
-        e = [Fraction(1) if j == i else Fraction(0) for j in range(g)]
-        col = _linalg.solve(lat.gram, e)
-        s = col[i] * rho_sq  # (G^-1)_ii * rho^2 >= x_i^2 on the cell
-        bounds.append(isqrt(s.numerator // s.denominator) + 1)
-    return bounds
+    return [isqrt(s.numerator // s.denominator) + 1 for s in _covering_box_sq(lat)]
 
 
 def _vertices_dd(a, b, g, box: list[int]) -> set[tuple[Fraction, ...]]:
@@ -335,13 +318,9 @@ def star_triangulation(poly: Polytope) -> tuple[Simplex, ...]:
 
 
 def _det_from_origin(points) -> Fraction:
-    g = len(points)
-    den = 1
-    for p in points:
-        for e in p:
-            den = den * e.denominator // _linalg._gcd(den, e.denominator)
-    scaled = [[int(e * den) for e in p] for p in points]
-    return Fraction(_linalg.int_det(scaled), den**g)
+    scaled = [_linalg.integer_row(p) for p in points]
+    return Fraction(_linalg.int_det([row for row, _ in scaled]),
+                    prod(den for _, den in scaled))
 
 
 def volume(poly: Polytope) -> Fraction:

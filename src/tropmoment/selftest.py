@@ -23,7 +23,13 @@ from .heights import (
     log_abs_delta,
 )
 from .lattice import GramLattice, closest_vector, norm_sq, validate
-from .metricgraph import MetricGraph, Edge, moment_identity_residual, tau
+from .metricgraph import (
+    MetricGraph,
+    Edge,
+    effective_resistance,
+    moment_identity_residual,
+    tau,
+)
 from .neron import (
     b2,
     component_multiplicity,
@@ -136,6 +142,17 @@ def _check_tau_base_point(rng, count) -> CheckResult:
     return CheckResult("tau-base-point", True, f"{count} seeded graphs")
 
 
+def _check_foster(rng, count) -> CheckResult:
+    # Foster's theorem: the edge Foster coefficients r(e)/L_e sum to |V| - 1
+    for _ in range(count):
+        graph = random_graph(rng)
+        total = sum(effective_resistance(graph, e.tail, e.head) / e.length
+                    for e in graph.edges)
+        if total != graph.vertex_count - 1:
+            return CheckResult("foster-theorem", False, str(graph))
+    return CheckResult("foster-theorem", True, f"{count} seeded graphs")
+
+
 def _check_tate_cross(rng, count) -> CheckResult:
     for _ in range(count):
         ell = Fraction(rng.randint(1, 24), rng.randint(1, 4))
@@ -225,4 +242,5 @@ def run_selftest(
         _check_tate_cross(rng, tate_count),
         _check_tate_arch(rng, tate_count),
         _check_heights(rng, height_count),
+        _check_foster(rng, graph_count),
     ]

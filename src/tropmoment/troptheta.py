@@ -24,9 +24,9 @@ from fractions import Fraction
 from itertools import product
 from math import ceil, floor, sqrt
 
-from . import _linalg
 from .lattice import (
     GramLattice,
+    _covering_box_sq,
     closest_vector,
     closest_vectors_all,
     inner,
@@ -144,12 +144,7 @@ def moment_by_quadrature(lat: GramLattice, grid_n: int) -> float:
         raise ValueError("grid_n must be >= 2")
     g = lat.rank
     gram = [[float(x) for x in row] for row in lat.gram]
-    rho_sq = Fraction(g, 4) * sum(lat.gram[i][i] for i in range(g))
-    radii = []
-    for i in range(g):
-        e = [Fraction(int(i == j)) for j in range(g)]
-        inv_col = _linalg.solve(lat.gram, e)
-        radii.append(sqrt(float(inv_col[i] * rho_sq)) + 1e-9)
+    radii = [sqrt(float(s)) + 1e-9 for s in _covering_box_sq(lat)]
     candidates = list(
         product(*(range(ceil(-r), floor(1 + r) + 1) for r in radii))
     )

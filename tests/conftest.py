@@ -26,24 +26,32 @@ def oracle_qform(gram, x):
     )
 
 
-def oracle_inverse_diag(gram):
-    """Diagonal of G^-1 by plain Gauss-Jordan over Fractions."""
-    g = len(gram)
+def oracle_solve(matrix, columns):
+    """Solutions of matrix @ x = b for each b in ``columns``, by plain
+    Gauss-Jordan over Fractions."""
+    n = len(matrix)
     aug = [
-        [Fraction(gram[i][j]) for j in range(g)]
-        + [Fraction(1 if j == i else 0) for j in range(g)]
-        for i in range(g)
+        [Fraction(matrix[i][j]) for j in range(n)]
+        + [Fraction(b[i]) for b in columns]
+        for i in range(n)
     ]
-    for col in range(g):
-        pivot_row = next(r for r in range(col, g) if aug[r][col] != 0)
+    for col in range(n):
+        pivot_row = next(r for r in range(col, n) if aug[r][col] != 0)
         aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
         pivot = aug[col][col]
         aug[col] = [v / pivot for v in aug[col]]
-        for r in range(g):
+        for r in range(n):
             if r != col and aug[r][col] != 0:
                 f = aug[r][col]
                 aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [aug[i][g + i] for i in range(g)]
+    return [[aug[i][n + c] for i in range(n)] for c in range(len(columns))]
+
+
+def oracle_inverse_diag(gram):
+    """Diagonal of G^-1."""
+    g = len(gram)
+    identity = [[int(i == j) for j in range(g)] for i in range(g)]
+    return [col[i] for i, col in enumerate(oracle_solve(gram, identity))]
 
 
 def _box_ranges(gram, point, dist_sq):
@@ -114,6 +122,89 @@ def oracle_shortest(gram):
         elif d == best:
             sols.append(u)
     return best, sorted(sols)
+
+
+# ---------------------------------------------------------------------------
+# metric-graph oracle: the subdivision-based tau, which fits r(., q) on
+# each edge through three exact samples instead of using the canonical
+# measure
+
+
+def _oracle_network(graph, points):
+    """Subdivide the edges at the interior points (vertex ids or
+    GraphPoints); returns (edge triples, node count, node of each point)."""
+    cuts: dict[int, set[Fraction]] = {}
+    for p in points:
+        if not isinstance(p, int) and 0 < p.offset < graph.edges[p.edge].length:
+            cuts.setdefault(p.edge, set()).add(Fraction(p.offset))
+    nodes = graph.vertex_count
+    edges, node_of = [], {}
+    for idx, e in enumerate(graph.edges):
+        prev, prev_off = e.tail, Fraction(0)
+        for off in sorted(cuts.get(idx, ())):
+            node_of[idx, off] = nodes
+            edges.append((prev, nodes, off - prev_off))
+            prev, prev_off = nodes, off
+            nodes += 1
+        edges.append((prev, e.head, e.length - prev_off))
+
+    def node(p):
+        if isinstance(p, int):
+            return p
+        e = graph.edges[p.edge]
+        if p.offset == 0:
+            return e.tail
+        if p.offset == e.length:
+            return e.head
+        return node_of[p.edge, Fraction(p.offset)]
+
+    return edges, nodes, [node(p) for p in points]
+
+
+def _oracle_node_resistance(edges, node_count, a, b):
+    """Unit current from a to b through the Laplacian grounded at b."""
+    if a == b:
+        return Fraction(0)
+    keep = [v for v in range(node_count) if v != b]
+    slot = {v: i for i, v in enumerate(keep)}
+    lap = [[Fraction(0)] * len(keep) for _ in keep]
+    for t, h, length in edges:
+        if t == h:
+            continue
+        for v, w in ((t, h), (h, t)):
+            if v in slot:
+                lap[slot[v]][slot[v]] += 1 / length
+                if w in slot:
+                    lap[slot[v]][slot[w]] -= 1 / length
+    (x,) = oracle_solve(lap, [[int(v == a) for v in keep]])
+    return x[slot[a]]
+
+
+def oracle_resistance(graph, p, q):
+    edges, node_count, (a, b) = _oracle_network(graph, [p, q])
+    return _oracle_node_resistance(edges, node_count, a, b)
+
+
+def oracle_tau(graph, q=0):
+    """Integral of (f')^2 with f = r(., q)/2.  On each edge r(., q) is
+    quadratic in the arclength, so the values at both ends and at a
+    temporary midpoint node fix it, and the integral has a closed form."""
+    edges, node_count, (base,) = _oracle_network(graph, [q])
+    r = [_oracle_node_resistance(edges, node_count, v, base)
+         for v in range(node_count)]
+    total = Fraction(0)
+    for k, (t, h, length) in enumerate(edges):
+        mid = node_count
+        split = edges[:k] + edges[k + 1:] + [(t, mid, length / 2), (mid, h, length / 2)]
+        r_m = _oracle_node_resistance(split, node_count + 1, mid, base)
+        diff_l, diff_m = r[h] - r[t], r_m - r[t]
+        qa = 2 * (diff_l - 2 * diff_m) / (length * length)
+        qb = (4 * diff_m - diff_l) / length
+        # integral of ((2 qa x + qb) / 2)^2 over [0, length]
+        total += (4 * qa * qa * length**3 / 3
+                  + 2 * qa * qb * length**2
+                  + qb * qb * length) / 4
+    return total
 
 
 # ---------------------------------------------------------------------------

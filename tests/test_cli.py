@@ -2,6 +2,7 @@ import json
 import math
 
 from tropmoment.cli import main
+from tropmoment.selftest import run_selftest
 
 F_ID2 = {"rank": 2, "gram": [[1, 0], [0, 1]]}
 F_A2 = {"rank": 2, "gram": [[2, 1], [1, 2]]}
@@ -239,4 +240,13 @@ def test_selftest_quick(capsys):
     payload = json.loads(out)
     assert payload["passed"] is True
     assert payload["seed"] == 7
-    assert len(payload["checks"]) == 7
+    assert len(payload["checks"]) == 8
+
+
+def test_selftest_reports_foster_check():
+    results = run_selftest(seed=3, theta_count=2, lattice_count=1,
+                           graph_count=12, height_count=1, tate_count=1)
+    foster = [r for r in results if r.name == "foster-theorem"]
+    assert len(foster) == 1
+    assert foster[0].ok, foster[0].detail
+    assert foster[0].detail == "12 seeded graphs"

@@ -8,6 +8,8 @@ from conftest import (
     dumbbell,
     k4,
     named_graphs,
+    oracle_resistance,
+    oracle_tau,
     random_connected_multigraph,
     segment,
     star3,
@@ -137,6 +139,37 @@ def test_tau_base_point_independence():
         interior = GraphPoint(0, g.edges[0].length / 3)
         values.add(tau(g, interior))
         assert len(values) == 1, name
+
+
+def _oracle_graphs():
+    rng = random.Random(20260810)
+    seeded = [random_connected_multigraph(rng) for _ in range(200)]
+    return list(named_graphs().values()) + seeded
+
+
+def test_tau_matches_oracle():
+    # closed form on the canonical measure against per-edge quadratic fits
+    for g in _oracle_graphs():
+        bases = list(range(g.vertex_count))
+        bases.append(GraphPoint(0, g.edges[0].length / 3))
+        for q in bases:
+            assert tau(g, q) == oracle_tau(g, q), (g, q)
+
+
+def test_effective_resistance_matches_oracle():
+    for g in _oracle_graphs():
+        for idx, e in enumerate(g.edges):
+            near = GraphPoint(idx, e.length / 5)
+            far = GraphPoint(idx, 3 * e.length / 4)
+            for p, q in ((e.tail, e.head), (near, far), (far, 0), (e.head, near)):
+                assert effective_resistance(g, p, q) == oracle_resistance(g, p, q)
+
+
+def test_tau_complete_graphs_unit_length():
+    expected = {3: F(1, 4), 4: F(5, 16), 5: F(23, 50), 6: F(25, 36), 7: F(199, 196)}
+    for n, value in expected.items():
+        pairs = [(i, j, 1) for i in range(n) for j in range(i + 1, n)]
+        assert tau(make_graph(n, pairs)) == value
 
 
 def test_cycle_basis_size():
