@@ -28,7 +28,7 @@ def int_det(rows: list[list[int]]) -> int:
     n = len(rows)
     if n == 0:
         return 1
-    m = [row[:] for row in rows]
+    m = [list(row) for row in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):

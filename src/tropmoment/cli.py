@@ -35,6 +35,7 @@ from .metricgraph import (
 )
 from .polytope import second_moment, volume, voronoi_cell
 from .troptheta import (
+    QuadratureGridError,
     moment_by_quadrature,
     trop_theta,
     trop_theta_norm,
@@ -128,9 +129,10 @@ def _cmd_moment(args) -> dict:
         "volume_coord": volume(cell),
     }
     if args.grid is not None:
-        if args.grid < 2:
-            raise DomainError("troptheta", "--grid", "grid must be >= 2")
-        out["I_quadrature"] = moment_by_quadrature(lat, args.grid)
+        try:
+            out["I_quadrature"] = moment_by_quadrature(lat, args.grid)
+        except QuadratureGridError as exc:
+            raise DomainError("troptheta", "--grid", str(exc)) from None
     return out
 
 

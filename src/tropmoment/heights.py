@@ -148,7 +148,11 @@ def log_abs_delta(tau: complex, n_terms: int = DEFAULT_TERMS) -> SeriesValue:
     Stops early once the running tail bound 48 |q|^(n+1) / (1-|q|)^2 drops
     below 1e-15; the bound actually achieved is returned alongside.
     """
-    tau = _check_tau(tau)
+    return _log_abs_delta(_check_tau(tau), n_terms)
+
+
+# Unchecked forms for periods already checked: one warning per input.
+def _log_abs_delta(tau: complex, n_terms: int) -> SeriesValue:
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
     q = _cexp_2pii(tau)
@@ -175,8 +179,11 @@ def _cexp_2pii(tau: complex) -> complex:
 
 def arch_local_invariant(tau: complex, n_terms: int = DEFAULT_TERMS) -> float:
     """-(1/24) ( log|delta(tau)| + 6 log(2 Im tau) ); strictly positive."""
-    tau = _check_tau(tau)
-    log_delta = log_abs_delta(tau, n_terms).value
+    return _arch_local_invariant(_check_tau(tau), n_terms)
+
+
+def _arch_local_invariant(tau: complex, n_terms: int) -> float:
+    log_delta = _log_abs_delta(tau, n_terms).value
     return -(log_delta + 6.0 * math.log(2.0 * tau.imag)) / 24.0
 
 
@@ -199,7 +206,7 @@ def faltings_height_elliptic(
         nonarch_sum += place.ord_delta * place.log_nv
     arch_sum = 0.0
     for tau in places.arch:
-        log_delta = log_abs_delta(tau, n_terms).value
+        log_delta = _log_abs_delta(tau, n_terms).value
         arch_sum += (
             12.0 * math.log(2.0 * math.pi)
             + log_delta
@@ -266,7 +273,7 @@ def height_identity_report(
         )
     arch_terms = []
     for tau in places.arch:
-        arch_terms.append({"tau": tau, "invariant": arch_local_invariant(tau, n_terms)})
+        arch_terms.append({"tau": tau, "invariant": _arch_local_invariant(tau, n_terms)})
     rhs = height_identity_rhs(
         g=1,
         h_nt_theta=0.0,

@@ -30,13 +30,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
+
+from .heights import _TAIL_TARGET, DEFAULT_TERMS, SeriesValue
 
 __all__ = [
     "AtDivisorError",
     "BadModulusError",
     "OutOfRangeError",
-    "TateSeriesValue",
     "b2",
     "tate_theta_log_abs",
     "tate_local_height",
@@ -44,8 +44,6 @@ __all__ = [
     "component_multiplicity",
 ]
 
-DEFAULT_TERMS = 64
-_TAIL_TARGET = 1e-15
 _DIVISOR_TOL = 1e-9
 
 
@@ -59,11 +57,6 @@ class BadModulusError(ValueError):
 
 class OutOfRangeError(ValueError):
     pass
-
-
-class TateSeriesValue(NamedTuple):
-    value: float
-    tail_bound: float
 
 
 def b2(t):
@@ -95,7 +88,7 @@ def _check_off_divisor(q: complex, z: complex):
 
 def tate_theta_log_abs(
     q: complex, z: complex, n_terms: int = DEFAULT_TERMS
-) -> TateSeriesValue:
+) -> SeriesValue:
     """log|theta(z)| for theta(z) = (1-z) prod (1 - q^n z)(1 - q^n / z).
 
     The truncation tail bound is reported; the series stops early once it
@@ -124,7 +117,7 @@ def tate_theta_log_abs(
             )
             if tail < _TAIL_TARGET:
                 break
-    return TateSeriesValue(total, tail)
+    return SeriesValue(total, tail)
 
 
 def tate_local_height(q: complex, z: complex, n_terms: int = DEFAULT_TERMS) -> float:
@@ -133,11 +126,9 @@ def tate_local_height(q: complex, z: complex, n_terms: int = DEFAULT_TERMS) -> f
     Invariant under z -> qz: the B2 step (l/2)(B2(t+1) - B2(t)) = -log|z|
     cancels the quasi-periodicity of theta exactly.
     """
-    q = _check_modulus(q)
-    z = complex(z)
+    theta = tate_theta_log_abs(q, z, n_terms)  # validates q and z
     ell = -math.log(abs(q))
     t = math.log(abs(z)) / math.log(abs(q))
-    theta = tate_theta_log_abs(q, z, n_terms)
     return (ell / 2.0) * float(b2(t)) - theta.value
 
 

@@ -18,10 +18,12 @@ Jacobian sqrt(det G) cancels in the normalized moment, so it never
 appears.  The per-simplex closed form
 
     integral over S of x^T G x  =  vol(S) / ((g+1)(g+2)) *
-        ( sum_i [v_i, v_i]  +  [sum_i v_i, sum_i v_i] )
+        ( sum_i [v_i, v_i]  +  sum_{i,j} [v_i, v_j] )
 
 follows from the barycentric moments E[t_i t_j] = (1 + delta_ij) /
-((g+1)(g+2)) on a g-simplex.
+((g+1)(g+2)) on a g-simplex; the origin vertex adds nothing.  Each cell
+is scaled to integers and validated once, and its integer sums are divided
+once, at the end.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
-from math import comb, factorial, isqrt, prod
+from math import comb, factorial, isqrt
 
 from . import _linalg
 from .lattice import GramLattice, _covering_box_sq, norm_sq, relevant_vectors
@@ -87,42 +89,49 @@ class Simplex:
 
 @dataclass(frozen=True)
 class Polytope:
+    """H- and V-representation.  ``__post_init__`` validates the vertices in
+    one pass, keeping them as integer rows ``_scaled`` over one denominator
+    ``_den`` and their tight facets as bitmasks ``_tight_masks``."""
+
     halfspaces: tuple[HalfSpace, ...]
     vertices: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
         dim = len(self.halfspaces[0].row)
-        for v in self.vertices:
-            tight = 0
-            for hs in self.halfspaces:
-                val = sum(r * c for r, c in zip(hs.row, v))
-                if val > hs.offset:
+        flat, den = _linalg.integer_row([c for v in self.vertices for c in v])
+        scaled = tuple(tuple(flat[i:i + dim]) for i in range(0, len(flat), dim))
+        a, b = _integer_constraints(self.halfspaces)
+        constraints = [(row, off * den) for row, off in zip(a, b)]
+        masks = []
+        for v, x in zip(self.vertices, scaled):
+            mask = 0
+            for k, (row, off) in enumerate(constraints):
+                val = sum(r * c for r, c in zip(row, x))
+                if val > off:
                     raise ValueError(f"vertex {v} violates a half-space")
-                if val == hs.offset:
-                    tight += 1
-            if tight < dim:
+                if val == off:
+                    mask |= 1 << k
+            if mask.bit_count() < dim:
                 raise ValueError(f"vertex {v} is tight on fewer than {dim} facets")
-        if len(set(self.vertices)) != len(self.vertices):
+            masks.append(mask)
+        if len(set(scaled)) != len(scaled):
             raise ValueError("vertex list has duplicates")
+        object.__setattr__(self, "_scaled", scaled)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_tight_masks", tuple(masks))
 
     @property
     def dim(self) -> int:
         return len(self.halfspaces[0].row)
 
     @cached_property
-    def _tight_masks(self) -> tuple[int, ...]:
-        masks = []
-        for v in self.vertices:
-            mask = 0
-            for k, hs in enumerate(self.halfspaces):
-                if sum(r * c for r, c in zip(hs.row, v)) == hs.offset:
-                    mask |= 1 << k
-            masks.append(mask)
-        return tuple(masks)
-
-    @cached_property
     def _star(self) -> tuple[tuple[int, ...], ...]:
         return _star_facet_simplices(self)
+
+    @cached_property
+    def _dets(self) -> tuple[int, ...]:
+        return tuple(abs(_linalg.int_det([self._scaled[i] for i in s]))
+                     for s in self._star)
 
 
 def _integer_constraints(halfspaces) -> tuple[list[list[int]], list[int]]:
@@ -261,7 +270,7 @@ def _star_facet_simplices(poly: Polytope) -> tuple[tuple[int, ...], ...]:
     one (g-1)-simplex, to be coned with the origin by the callers."""
     g = poly.dim
     masks = poly._tight_masks
-    nverts = len(poly.vertices)
+    points = poly._scaled
     cache: dict[frozenset[int], list[tuple[int, ...]]] = {}
 
     def tri(face: frozenset[int], d: int) -> list[tuple[int, ...]]:
@@ -275,7 +284,7 @@ def _star_facet_simplices(poly: Polytope) -> tuple[tuple[int, ...], ...]:
             assert len(ids) == 2
             out = [tuple(ids)]
         else:
-            apex = min(ids, key=lambda i: poly.vertices[i])
+            apex = min(ids, key=points.__getitem__)
             out = []
             seen: set[frozenset[int]] = set()
             face_mask = masks[ids[0]]
@@ -288,7 +297,7 @@ def _star_facet_simplices(poly: Polytope) -> tuple[tuple[int, ...], ...]:
                 sub = frozenset(i for i in ids if masks[i] & bit)
                 if not sub or apex in sub or sub in seen:
                     continue
-                if _linalg.affine_rank([poly.vertices[i] for i in sub]) != d - 1:
+                if _linalg.affine_rank([points[i] for i in sub]) != d - 1:
                     continue
                 seen.add(sub)
                 for s in tri(sub, d - 1):
@@ -299,8 +308,8 @@ def _star_facet_simplices(poly: Polytope) -> tuple[tuple[int, ...], ...]:
     simplices: list[tuple[int, ...]] = []
     for k in range(len(poly.halfspaces)):
         bit = 1 << k
-        facet = frozenset(i for i in range(nverts) if masks[i] & bit)
-        if _linalg.affine_rank([poly.vertices[i] for i in facet]) != g - 1:
+        facet = frozenset(i for i in range(len(points)) if masks[i] & bit)
+        if _linalg.affine_rank([points[i] for i in facet]) != g - 1:
             raise DegeneratePolytopeError(f"half-space {k} does not support a facet")
         simplices.extend(tri(facet, g - 1))
     return tuple(simplices)
@@ -317,30 +326,12 @@ def star_triangulation(poly: Polytope) -> tuple[Simplex, ...]:
     )
 
 
-def _det_from_origin(points) -> Fraction:
-    scaled = [_linalg.integer_row(p) for p in points]
-    return Fraction(_linalg.int_det([row for row, _ in scaled]),
-                    prod(den for _, den in scaled))
-
-
 def volume(poly: Polytope) -> Fraction:
     """Coordinate-Lebesgue volume via the origin star triangulation."""
     g = poly.dim
-    if _linalg.affine_rank(poly.vertices) != g:
+    if _linalg.affine_rank(poly._scaled) != g:
         raise DegeneratePolytopeError("polytope is not full-dimensional")
-    total = Fraction(0)
-    for s in poly._star:
-        total += abs(_det_from_origin([poly.vertices[i] for i in s]))
-    return total / factorial(g)
-
-
-def _simplex_moment(lat: GramLattice, vertices, vol: Fraction) -> Fraction:
-    g = lat.rank
-    total_vertex = tuple(
-        sum(v[i] for v in vertices) for i in range(g)
-    )
-    s = sum(norm_sq(lat, v) for v in vertices) + norm_sq(lat, total_vertex)
-    return vol * s / ((g + 1) * (g + 2))
+    return Fraction(sum(poly._dets), factorial(g) * poly._den ** g)
 
 
 def second_moment(lat: GramLattice) -> Fraction:
@@ -353,17 +344,13 @@ def second_moment(lat: GramLattice) -> Fraction:
     """
     poly = voronoi_cell(lat)
     g = lat.rank
-    origin = tuple(Fraction(0) for _ in range(g))
-    fact = factorial(g)
-    total_vol = Fraction(0)
-    total_mom = Fraction(0)
-    for s in poly._star:
-        pts = [poly.vertices[i] for i in s]
-        vol = abs(_det_from_origin(pts)) / fact
-        if vol == 0:
-            continue
-        total_vol += vol
-        total_mom += _simplex_moment(lat, [origin] + pts, vol)
-    if total_vol == 0:
+    flat, gram_den = _linalg.integer_row([x for row in lat.gram for x in row])
+    gram = [flat[i:i + g] for i in range(0, g * g, g)]
+    images = [[sum(r * c for r, c in zip(row, x)) for row in gram] for x in poly._scaled]
+    inner = [[sum(r * c for r, c in zip(x, y)) for y in images] for x in poly._scaled]
+    total_det = sum(poly._dets)
+    total_mom = sum(det * (sum(inner[i][i] for i in s) + sum(inner[i][j] for i in s for j in s))
+                    for s, det in zip(poly._star, poly._dets))
+    if total_det == 0:
         raise DegeneratePolytopeError("voronoi cell has zero volume")
-    return total_mom / total_vol
+    return Fraction(total_mom, (g + 1) * (g + 2) * poly._den ** 2 * gram_den * total_det)

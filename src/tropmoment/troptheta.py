@@ -43,7 +43,15 @@ __all__ = [
     "functional_equation_residual",
     "torus_reduce",
     "moment_by_quadrature",
+    "QuadratureGridError",
 ]
+
+# Most grid points x candidates one quadrature may test (A2, grid 200: 640 000).
+QUADRATURE_BUDGET = 10**7
+
+
+class QuadratureGridError(ValueError):
+    """A grid below 2, or one that would exceed QUADRATURE_BUDGET."""
 
 
 def trop_theta(lat: GramLattice, nu) -> Fraction:
@@ -141,13 +149,17 @@ def moment_by_quadrature(lat: GramLattice, grid_n: int) -> float:
     candidate order, left-to-right summation.
     """
     if grid_n < 2:
-        raise ValueError("grid_n must be >= 2")
+        raise QuadratureGridError("grid must be >= 2")
     g = lat.rank
     gram = [[float(x) for x in row] for row in lat.gram]
     radii = [sqrt(float(s)) + 1e-9 for s in _covering_box_sq(lat)]
     candidates = list(
         product(*(range(ceil(-r), floor(1 + r) + 1) for r in radii))
     )
+    if grid_n**g * len(candidates) > QUADRATURE_BUDGET:
+        raise QuadratureGridError(
+            f"{grid_n}^{g} grid points x {len(candidates)} candidates exceed "
+            f"the budget of {QUADRATURE_BUDGET} evaluations")
     total = 0.0
     inv_n = 1.0 / grid_n
     for cell in product(range(grid_n), repeat=g):

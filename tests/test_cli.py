@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 from tropmoment.cli import main
 from tropmoment.selftest import run_selftest
@@ -45,6 +46,20 @@ def test_moment_quadrature_cross_check(tmp_path, capsys):
     code, out = run_cli(capsys, "moment", "--lattice", path, "--grid", "1")
     assert code == 2
     assert json.loads(out)["error"]["path"] == "--grid"
+
+
+def test_moment_grid_over_budget_fails_fast(tmp_path, capsys):
+    # A3 has 96 quadrature candidates: 200^3 x 96 evaluations is far over
+    # the work budget, and the command must refuse before running them.
+    path = write(tmp_path, "a3.json",
+                 {"rank": 3, "gram": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]})
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "moment", "--lattice", path, "--grid", "200")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "DomainError"
+    assert error["path"] == "--grid"
 
 
 def test_graph_circle12(tmp_path, capsys):

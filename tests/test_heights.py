@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -66,6 +67,19 @@ def test_log_abs_delta_rejects_lower_half_plane():
 def test_log_abs_delta_warns_for_tiny_imaginary_part():
     with pytest.warns(UserWarning):
         log_abs_delta(0.05j, 400)
+
+
+def test_small_imaginary_part_warns_once_per_input():
+    def count_warnings(call):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        return sum("Im tau < 0.1" in str(w.message) for w in caught)
+
+    assert count_warnings(lambda: height_identity_report(
+        EllipticPlaces(degree=1, nonarch=(), arch=(0.05j,)))) == 1
+    assert count_warnings(lambda: log_abs_delta(0.05j)) == 1
+    assert count_warnings(lambda: arch_local_invariant(0.05j)) == 1
 
 
 def test_arch_invariant_positive_at_standard_points():

@@ -215,3 +215,57 @@ def test_halfspace_invariants():
         HalfSpace(normal=(0, 0), row=(F(0), F(0)), offset=F(1))
     with pytest.raises(ValueError):
         HalfSpace(normal=(1, 0), row=(F(1), F(0)), offset=F(0))
+
+
+def test_polytope_rejects_vertex_on_too_few_facets():
+    cell = voronoi_cell(ID2)
+    with pytest.raises(ValueError, match="tight on fewer"):
+        Polytope(halfspaces=cell.halfspaces, vertices=((F(1, 2), F(0)),))
+
+
+def test_polytope_rejects_duplicate_vertex():
+    cell = voronoi_cell(ID2)
+    corner = (F(1, 2), F(1, 2))
+    with pytest.raises(ValueError, match="duplicates"):
+        Polytope(halfspaces=cell.halfspaces, vertices=(corner, corner))
+
+
+# Gold values from Conway & Sloane, "Voronoi regions of lattices, second
+# moments of polytopes, and quantization", IEEE Trans. IT 28 (1982),
+# rescaled from their G to the coordinate-measure I used here.
+
+
+def _cartan(n, bonds):
+    gram = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in bonds:
+        gram[i][j] = gram[j][i] = -1
+    return gram
+
+
+def _check_cell(gram, moment, facets, vertices):
+    lat = validate(gram)
+    cell = voronoi_cell(lat)
+    assert len(cell.halfspaces) == facets
+    assert len(cell.vertices) == vertices
+    assert volume(cell) == 1
+    assert second_moment(lat) == moment
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_gold_root_lattice_a(n):
+    a_n = _cartan(n, [(i, i + 1) for i in range(n - 1)])
+    _check_cell(a_n, n * (F(1, 12) + F(1, 6 * (n + 1))), n * (n + 1), 2 ** (n + 1) - 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gold_cubic_lattice(n):
+    z_n = [[int(i == j) for j in range(n)] for i in range(n)]
+    _check_cell(z_n, F(n, 12), 2 * n, 2**n)
+
+
+def test_gold_root_lattice_d4():
+    _check_cell(_cartan(4, [(0, 1), (1, 2), (1, 3)]), F(13, 30), 24, 24)
+
+
+def test_gold_root_lattice_d5():
+    _check_cell(_cartan(5, [(0, 1), (1, 2), (2, 3), (2, 4)]), F(1, 2), 40, 42)
