@@ -33,7 +33,7 @@ from .metricgraph import (
     tau,
     total_length,
 )
-from .polytope import second_moment, volume, voronoi_cell
+from .polytope import VertexBudgetError, second_moment, volume, voronoi_cell
 from .troptheta import (
     QuadratureGridError,
     moment_by_quadrature,
@@ -357,6 +357,9 @@ def main(argv=None) -> int:
             payload = handler(args)
         except _DOMAIN_EXCEPTIONS as exc:
             raise DomainError(module, "input", str(exc)) from None
+        except VertexBudgetError as exc:
+            path = "--lattice" if hasattr(args, "lattice") else "--input"
+            raise DomainError("polytope", path, str(exc)) from None
     except FormatError as exc:
         _emit(
             {

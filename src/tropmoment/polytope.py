@@ -3,13 +3,16 @@ the normalized second moment.
 
 The cell of a Gram lattice G is cut out by one half-space per Voronoi
 relevant vector u:  [u, x] <= [u, u] / 2.  Vertices are recovered exactly
-over Q.  Two enumeration paths are used:
-
-* exhaustive rank-many subsets of facets (fraction-free integer solves),
-  when the number of subsets is small, and
-* an exact double-description sweep starting from a certified bounding
-  box, for cells with many facets (rank-5 graph Jacobians already reach
-  62 facets, where the subset count is in the millions).
+over Q by one double-description sweep.  It starts from a certified
+bounding box and clips it by each facet a_k . x <= b_k in turn, on
+primitive integer homogeneous vertices (x, w), w > 0, whose slack is
+b_k w - a_k . x.  An edge (p, m) with slacks s_p > 0 > s_m is cut at the
+vertex s_p v_m - s_m v_p, divided by its gcd.  Every earlier slack of that
+vertex is the same positive combination of the slacks of p and m, both
+>= 0, so it is zero exactly when both are: the new vertex is tight on
+(mask_p & mask_m) | bit k and on nothing else so far.  No vertex is
+converted to Q before the sweep ends.  The sweep may hold at most
+VERTEX_BUDGET vertices at once.
 
 Volumes and moments are computed in coordinate Lebesgue measure over a
 star triangulation: origin cone over facet triangulations, each face
@@ -31,8 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
-from math import comb, factorial, isqrt
+from itertools import product
+from math import factorial, gcd, isqrt
+from operator import mul
 
 from . import _linalg
 from .lattice import GramLattice, _covering_box_sq, norm_sq, relevant_vectors
@@ -42,19 +46,23 @@ __all__ = [
     "Polytope",
     "Simplex",
     "DegeneratePolytopeError",
+    "VertexBudgetError",
     "voronoi_cell",
     "volume",
     "second_moment",
     "star_triangulation",
 ]
 
-# Beyond this many facet subsets, vertex enumeration switches from
-# exhaustive subset solving to double description.
-_SUBSET_LIMIT = 5000
+# Most vertices double description may hold at once (E6 peaks at 269).
+VERTEX_BUDGET = 10**5
 
 
 class DegeneratePolytopeError(ValueError):
     pass
+
+
+class VertexBudgetError(ValueError):
+    """Double description would hold more than VERTEX_BUDGET vertices."""
 
 
 @dataclass(frozen=True)
@@ -141,100 +149,63 @@ def _integer_constraints(halfspaces) -> tuple[list[list[int]], list[int]]:
     return [row[:-1] for row in rows], [row[-1] for row in rows]
 
 
-def _vertices_by_subsets(a, b, g) -> set[tuple[Fraction, ...]]:
-    m = len(a)
-    verts: set[tuple[Fraction, ...]] = set()
-    for subset in combinations(range(m), g):
-        sol = _linalg.int_solve([a[i] for i in subset], [[b[i] for i in subset]])
-        if sol is None:
-            continue
-        (nums,), den = sol
-        feasible = True
-        for k in range(m):
-            lhs = sum(a[k][j] * nums[j] for j in range(g))
-            if lhs > b[k] * den:
-                feasible = False
-                break
-        if feasible:
-            verts.add(tuple(Fraction(x, den) for x in nums))
-    return verts
-
-
 def _certified_box_bound(lat: GramLattice) -> list[int]:
     """Integer coordinate bounds B with Vor(0) strictly inside [-B, B]^g."""
     return [isqrt(s.numerator // s.denominator) + 1 for s in _covering_box_sq(lat)]
 
 
 def _vertices_dd(a, b, g, box: list[int]) -> set[tuple[Fraction, ...]]:
-    """Double description: clip a certified bounding box by each facet."""
+    """Double description: clip a certified bounding box by each facet, on
+    primitive integer homogeneous vertices (x, w) with w > 0."""
     m = len(a)
-    # Global constraint rows indexed by bit: 0..m-1 facets, then 2g box rows.
+    # Constraint rows indexed by bit: 0..m-1 facets, then 2g box rows.
     rows = [list(r) for r in a]
     for i in range(g):
         rows.append([1 if j == i else 0 for j in range(g)])
         rows.append([-1 if j == i else 0 for j in range(g)])
 
-    verts: list[tuple[Fraction, ...]] = []
+    verts: list[tuple[int, ...]] = []
     masks: list[int] = []
-    for corner in product((1, -1), repeat=g):
-        verts.append(tuple(Fraction(corner[i] * box[i]) for i in range(g)))
-        mask = 0
-        for i in range(g):
-            bit = m + 2 * i + (0 if corner[i] == 1 else 1)
-            mask |= 1 << bit
-        masks.append(mask)
+    for corner in product((0, 1), repeat=g):
+        verts.append(tuple(-box[i] if c else box[i] for i, c in enumerate(corner)) + (1,))
+        masks.append(sum(1 << (m + 2 * i + c) for i, c in enumerate(corner)))
 
-    def tight_mask(x, upto: int) -> int:
-        mask = 0
-        for k in range(upto):
-            if sum(a[k][j] * x[j] for j in range(g)) == b[k]:
-                mask |= 1 << k
-        for i in range(g):
-            if x[i] == box[i]:
-                mask |= 1 << (m + 2 * i)
-            elif x[i] == -box[i]:
-                mask |= 1 << (m + 2 * i + 1)
-        return mask
-
-    for k in range(m):
-        vals = [b[k] - sum(a[k][j] * v[j] for j in range(g)) for v in verts]
-        if all(val >= 0 for val in vals):
-            for i, val in enumerate(vals):
-                if val == 0:
-                    masks[i] |= 1 << k
-            continue
-        pos = [i for i, val in enumerate(vals) if val > 0]
-        zero = [i for i, val in enumerate(vals) if val == 0]
-        neg = [i for i, val in enumerate(vals) if val < 0]
-        new: dict[tuple[Fraction, ...], int] = {}
+    for k, (row, off) in enumerate(zip(a, b)):
+        bit = 1 << k
+        # slack b_k w - a_k . x as one dot product with (-a_k, b_k)
+        h = [-r for r in row] + [off]
+        slacks = [sum(map(mul, h, v)) for v in verts]
+        pos = [i for i, s in enumerate(slacks) if s > 0]
+        neg = [i for i, s in enumerate(slacks) if s < 0]
+        zero = [i for i, s in enumerate(slacks) if s == 0]
+        next_verts = [verts[i] for i in pos] + [verts[i] for i in zero]
+        next_masks = [masks[i] for i in pos] + [masks[i] | bit for i in zero]
+        new: dict[tuple[int, ...], int] = {}
         for ip in pos:
-            mp = masks[ip]
-            vp = vals[ip]
+            sp, vp, mp = slacks[ip], verts[ip], masks[ip]
             for im in neg:
                 common = mp & masks[im]
                 if common.bit_count() < g - 1:
                     continue
-                if _linalg.int_rank([rows[j] for j in _bits(common)]) != g - 1:
+                # The common rows vanish on p - m != 0, so their rank is at
+                # most g - 1; for g <= 2 it is then exactly g - 1.
+                if g > 2 and _linalg.int_rank([rows[j] for j in _bits(common)]) != g - 1:
                     continue
-                t = vp / (vp - vals[im])
-                x = tuple(
-                    verts[ip][j] + t * (verts[im][j] - verts[ip][j])
-                    for j in range(g)
-                )
-                if x not in new:
-                    new[x] = tight_mask(x, k + 1)
-        next_verts = [verts[i] for i in pos] + [verts[i] for i in zero]
-        next_masks = [masks[i] for i in pos] + [masks[i] | 1 << k for i in zero]
-        for x, mask in new.items():
-            if x not in next_verts:
-                next_verts.append(x)
-                next_masks.append(mask)
+                sm = slacks[im]
+                v = [sp * cm - sm * cp for cp, cm in zip(vp, verts[im])]
+                d = gcd(*v)
+                new[tuple(c // d for c in v)] = common | bit
+            if len(next_verts) + len(new) > VERTEX_BUDGET:
+                raise VertexBudgetError(
+                    f"double description needs more than {VERTEX_BUDGET} live vertices")
+        next_verts.extend(new)
+        next_masks.extend(new.values())
         verts, masks = next_verts, next_masks
 
     box_bits = ((1 << (2 * g)) - 1) << m
     if any(mask & box_bits for mask in masks):
         raise RuntimeError("bounding box was not certified; a cell vertex touched it")
-    return set(verts)
+    return {tuple(Fraction(c, v[g]) for c in v[:g]) for v in verts}
 
 
 def _bits(mask: int):
@@ -258,10 +229,7 @@ def voronoi_cell(lat: GramLattice) -> Polytope:
         for u in relevant_vectors(lat)
     )
     a, b = _integer_constraints(halfspaces)
-    if comb(len(halfspaces), g) <= _SUBSET_LIMIT:
-        verts = _vertices_by_subsets(a, b, g)
-    else:
-        verts = _vertices_dd(a, b, g, _certified_box_bound(lat))
+    verts = _vertices_dd(a, b, g, _certified_box_bound(lat))
     return Polytope(halfspaces=halfspaces, vertices=tuple(sorted(verts)))
 
 

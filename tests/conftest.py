@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
-from math import isqrt
+from itertools import combinations, product
+from math import isqrt, lcm
 
 from tropmoment.metricgraph import Edge, MetricGraph, make_graph
 
@@ -99,6 +99,37 @@ def oracle_relevant(gram):
                 tuple(parity[i] + 2 * u[i] for i in range(g)) for u in sols
             )
     return sorted(out)
+
+
+def oracle_cell_vertices(gram, normals):
+    """Vertices of the cell cut out by [u, x] <= [u, u]/2 for the lattice
+    vectors u in ``normals``, by brute force: solve every rank-many subset
+    of the equations by Cramer's rule and keep the solutions inside every
+    half-space.  The constraints are scaled to integers, 2D[u, x] <= D[u, u]
+    with D the common denominator of the Gram entries."""
+    g = len(gram)
+    scale = lcm(*(Fraction(x).denominator for row in gram for x in row))
+    gram = [[int(2 * scale * Fraction(x)) for x in row] for row in gram]
+    facets = [
+        ([sum(gram[i][j] * u[j] for j in range(g)) for i in range(g)],
+         sum(gram[i][j] * u[i] * u[j] for i in range(g) for j in range(g)) // 2)
+        for u in normals
+    ]
+    verts = set()
+    for subset in combinations(facets, g):
+        a = [row for row, _ in subset]
+        det = _det_int(a)
+        if det == 0:
+            continue
+        sign = 1 if det > 0 else -1
+        nums = [
+            sign * _det_int([row[:i] + [off] + row[i + 1:] for row, off in subset])
+            for i in range(g)
+        ]
+        det *= sign
+        if all(sum(r * n for r, n in zip(row, nums)) <= off * det for row, off in facets):
+            verts.add(tuple(Fraction(n, det) for n in nums))
+    return verts
 
 
 def oracle_shortest(gram):
@@ -288,6 +319,8 @@ def _det_int(a):
     n = len(a)
     if n == 1:
         return a[0][0]
+    if n == 2:
+        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
     total = 0
     for j in range(n):
         minor = [row[:j] + row[j + 1 :] for row in a[1:]]

@@ -2,6 +2,7 @@ import json
 import math
 import time
 
+from tropmoment import polytope
 from tropmoment.cli import main
 from tropmoment.selftest import run_selftest
 
@@ -60,6 +61,19 @@ def test_moment_grid_over_budget_fails_fast(tmp_path, capsys):
     error = json.loads(out)["error"]
     assert error["type"] == "DomainError"
     assert error["path"] == "--grid"
+
+
+def test_moment_over_vertex_budget_fails_cleanly(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(polytope, "VERTEX_BUDGET", 10)
+    path = write(tmp_path, "a4.json", {"rank": 4, "gram": [
+        [2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]})
+    code, out = run_cli(capsys, "moment", "--lattice", path)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "DomainError"
+    assert error["module"] == "polytope"
+    assert error["path"] == "--lattice"
+    assert "10" in error["message"]
 
 
 def test_graph_circle12(tmp_path, capsys):

@@ -255,8 +255,7 @@ def test_dumbbell_matches_two_loops():
 
 def test_moment_identity_on_degenerate_banana_graphs():
     # equal parallel edges give the maximally symmetric cycle lattices,
-    # whose cells have highly degenerate vertices; rank 5 exercises the
-    # double-description enumeration path
+    # whose cells have highly degenerate vertices
     for copies in (4, 5, 6):
         g = make_graph(2, [(0, 1, 1)] * copies)
         assert moment_identity_residual(g) == 0

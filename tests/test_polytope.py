@@ -3,17 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_pd_gram
+from conftest import oracle_cell_vertices, random_connected_multigraph, random_pd_gram
 from tropmoment.lattice import validate
+from tropmoment.metricgraph import cycle_basis, jacobian_gram
 from tropmoment.polytope import (
     DegeneratePolytopeError,
     HalfSpace,
     Polytope,
     Simplex,
-    _certified_box_bound,
-    _integer_constraints,
-    _vertices_by_subsets,
-    _vertices_dd,
     second_moment,
     star_triangulation,
     volume,
@@ -131,7 +128,7 @@ def test_second_moment_positive():
         assert second_moment(validate(random_pd_gram(rng))) > 0
 
 
-def test_subset_and_dd_paths_agree():
+def test_cell_vertices_match_brute_force_oracle():
     rng = random.Random(123)
     grams = [
         [[2, 1], [1, 2]],
@@ -140,14 +137,19 @@ def test_subset_and_dd_paths_agree():
         [[2, 1, 1, 1], [1, 2, 1, 1], [1, 1, 2, 1], [1, 1, 1, 2]],
         random_pd_gram(rng, max_rank=4),
         random_pd_gram(rng, max_rank=4),
+        _cartan(4, [(0, 1), (1, 2), (2, 3)]),
+        _cartan(4, [(0, 1), (1, 2), (1, 3)]),
     ]
+    # the cycle lattices of acceptance criterion 02, up to rank 4
+    rng = random.Random(20260810)
+    for _ in range(200):
+        graph = random_connected_multigraph(rng, max_edges=6)
+        if cycle_basis(graph) and jacobian_gram(graph).rank <= 4:
+            grams.append(jacobian_gram(graph).gram)
     for gram in grams:
-        lat = validate(gram)
-        cell = voronoi_cell(lat)
-        a, b = _integer_constraints(cell.halfspaces)
-        by_subsets = _vertices_by_subsets(a, b, lat.rank)
-        by_dd = _vertices_dd(a, b, lat.rank, _certified_box_bound(lat))
-        assert by_subsets == by_dd == set(cell.vertices)
+        cell = voronoi_cell(validate(gram))
+        normals = [hs.normal for hs in cell.halfspaces]
+        assert set(cell.vertices) == oracle_cell_vertices(gram, normals)
 
 
 def test_cell_vertices_minimize_distance_at_themselves():
@@ -251,7 +253,7 @@ def _check_cell(gram, moment, facets, vertices):
     assert second_moment(lat) == moment
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_gold_root_lattice_a(n):
     a_n = _cartan(n, [(i, i + 1) for i in range(n - 1)])
     _check_cell(a_n, n * (F(1, 12) + F(1, 6 * (n + 1))), n * (n + 1), 2 ** (n + 1) - 2)
