@@ -2,8 +2,8 @@
 
 Everything in this package runs at desk scale (matrix sizes bounded by the
 lattice rank plus a handful of graph nodes), so these routines optimize for
-exactness and determinism, not asymptotics.  Determinants, ranks and
-solves all use fraction-free (Bareiss) elimination; one Gauss-Jordan pass
+exactness and determinism, not asymptotics.  Determinants, ranks, solves
+and the LDL form all use fraction-free (Bareiss) elimination; one pass
 solves a system for every right-hand side at once.  Rational input is
 scaled to integers first (``integer_row``) so that the hot paths stay in
 plain ``int`` arithmetic.
@@ -16,7 +16,8 @@ from math import lcm
 
 
 class NonPositivePivot(Exception):
-    """Raised by ``ldl`` when a pivot is <= 0; carries the 1-based index."""
+    """Raised by ``int_ldl`` at the first leading principal minor <= 0;
+    carries its 1-based index."""
 
     def __init__(self, index: int):
         super().__init__(f"pivot {index} is not positive")
@@ -91,6 +92,33 @@ def int_solve(a: list[list[int]], rhs: list[list[int]]) -> tuple[list[list[int]]
     return nums, sign * prev
 
 
+def int_ldl(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free LDL of a symmetric integer matrix A: one Bareiss pass
+    without pivoting.  Returns ``(u, w, W)`` with ``x^T A x =
+    sum_k w[k] (sum_{j>=k} u[k][j] x_j)^2 / W``, where the pivot ``u[k][k]``
+    is the leading minor ``D_{k+1}`` and ``w[k] = W / (D_k D_{k+1})``.
+    Raises :class:`NonPositivePivot` at the first pivot <= 0, before it
+    is used as a divisor."""
+    n = len(rows)
+    u = [list(row) for row in rows]
+    minors = [1]
+    for k in range(n):
+        row_k = u[k]
+        pivot = row_k[k]
+        if pivot <= 0:
+            raise NonPositivePivot(k + 1)
+        for i in range(k + 1, n):
+            row_i = u[i]
+            f = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pivot - f * row_k[j]) // minors[k]
+            row_i[k] = 0
+        minors.append(pivot)
+    pairs = [minors[k] * minors[k + 1] for k in range(n)]
+    scale = lcm(*pairs)
+    return u, [scale // p for p in pairs], scale
+
+
 def int_rank(rows: list[list[int]]) -> int:
     """Rank over Q of an integer matrix (fraction-free elimination)."""
     m = [row[:] for row in rows]
@@ -142,31 +170,6 @@ def solve(a, rhs) -> list[list[Fraction]] | None:
         return None
     nums, den = res
     return [[Fraction(x, den) for x in col] for col in nums]
-
-
-def ldl(gram) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Square-root-free Cholesky of a symmetric rational matrix.
-
-    Returns ``(d, l)`` with ``x^T G x = sum_i d[i] * (x_i + sum_{j>i} l[i][j] x_j)^2``.
-    Raises :class:`NonPositivePivot` at the first pivot <= 0, whose 1-based
-    index equals the index of the first non-positive leading principal minor.
-    """
-    n = len(gram)
-    d: list[Fraction] = []
-    l = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        di = Fraction(gram[i][i])
-        for k in range(i):
-            di -= d[k] * l[k][i] * l[k][i]
-        if di <= 0:
-            raise NonPositivePivot(i + 1)
-        d.append(di)
-        for j in range(i + 1, n):
-            v = Fraction(gram[i][j])
-            for k in range(i):
-                v -= d[k] * l[k][i] * l[k][j]
-            l[i][j] = v / di
-    return d, l
 
 
 def affine_rank(points) -> int:

@@ -6,12 +6,12 @@ tuples with respect to the implicit basis, ambient points are rational
 coordinate tuples, and the inner product of ambient points x, y is
 x^T G y, evaluated exactly in ``fractions.Fraction`` arithmetic.
 
-Closest-vector queries run a Fincke-Pohst style branch and bound over the
-square-root-free Cholesky decomposition of G; all comparisons are between
-exact squared norms, so results (including ties) are certified.  Voronoi
-relevant vectors are found by the classical coset criterion: a nonzero v
-is relevant iff +-v are the unique minimizers of the squared norm in the
-coset v + 2Y.
+Each lattice also holds G once as integer rows A = den G and their
+fraction-free LDL (``_linalg.int_ldl``).  Closest-vector queries run a
+Schnorr-Euchner branch and bound on that form in integers, so results
+(including ties) are certified.  Voronoi relevant vectors are found by
+the classical coset criterion: a nonzero v is relevant iff +-v are the
+unique minimizers of the squared norm in the coset v + 2Y.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import floor
+from math import inf
 
 from . import _linalg
 
@@ -70,7 +70,8 @@ def _as_fraction(value) -> Fraction:
 
 @dataclass(frozen=True)
 class GramLattice:
-    """A rank-g free lattice with a positive definite rational Gram matrix."""
+    """A rank-g free lattice with a positive definite rational Gram matrix,
+    also held as integer rows ``_int_gram`` = ``_den`` G and their ``_int_ldl``."""
 
     rank: int
     gram: tuple[tuple[Fraction, ...], ...]
@@ -87,15 +88,15 @@ class GramLattice:
                     raise NotSymmetricError(
                         f"gram[{i}][{j}] != gram[{j}][{i}]"
                     )
-        # Positive definiteness: LDL pivots are ratios of leading minors.
+        flat, den = _linalg.integer_row([x for row in self.gram for x in row])
+        rows = [flat[i:i + g] for i in range(0, g * g, g)]
         try:
-            _linalg.ldl(self.gram)
+            ldl = _linalg.int_ldl(rows)
         except _linalg.NonPositivePivot as exc:
             raise NotPositiveDefiniteError(exc.index) from None
-
-    @cached_property
-    def _ldl(self) -> tuple[list[Fraction], list[list[Fraction]]]:
-        return _linalg.ldl(self.gram)
+        object.__setattr__(self, "_int_gram", rows)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_int_ldl", ldl)
 
     @cached_property
     def _relevant(self) -> tuple[tuple[int, ...], ...]:
@@ -147,36 +148,33 @@ def _covering_box_sq(lat: GramLattice) -> list[Fraction]:
     Voronoi cell: rho^2 = (g/4) trace(G) bounds the covering radius, and
     Cauchy-Schwarz gives x_i^2 <= (G^-1)_ii * |x|^2."""
     g = lat.rank
-    rho_sq = Fraction(g, 4) * sum(lat.gram[i][i] for i in range(g))
+    a = lat._int_gram
     identity = [[int(i == j) for j in range(g)] for i in range(g)]
-    inverse = _linalg.solve(lat.gram, identity)
-    return [inverse[i][i] * rho_sq for i in range(g)]
+    nums, det = _linalg.int_solve(a, identity)
+    # G = A / den, so (G^-1)_ii rho^2 = (A^-1)_ii (g/4) trace(A).
+    trace = sum(a[i][i] for i in range(g))
+    return [Fraction(nums[i][i] * g * trace, 4 * det) for i in range(g)]
 
 
 def closest_vectors_all(lat: GramLattice, point) -> tuple[Fraction, list[tuple[int, ...]]]:
     """All lattice vectors minimizing the squared distance to ``point``.
 
     Returns ``(min_dist_sq, minimizers)`` with the minimizers sorted
-    lexicographically.  Branch and bound over the LDL form; budget
+    lexicographically.  Branch and bound over the integer LDL form; budget
     comparisons are non-strict so exact ties are all collected.
     """
     t = _check_point(lat, point)
     g = lat.rank
-    d, l = lat._ldl
-
-    # Feasible incumbent: componentwise rounding of the target.
-    u0 = tuple(floor(c + Fraction(1, 2)) for c in t)
-    diff0 = [Fraction(u0[i]) - t[i] for i in range(g)]
-    best = Fraction(0)
-    for i in range(g):
-        s = diff0[i] + sum(l[i][j] * diff0[j] for j in range(i + 1, g))
-        best += d[i] * s * s
-
+    rows, weights, scale = lat._int_ldl
+    s, m = _linalg.integer_row(t)
+    # With y = m u - s, |u - t|^2 = sum_k w_k (U_k . y)^2 / (den W m^2) and
+    # U_k . y = a u_k - b, a = m D_{k+1}, b = D_{k+1} s_k - sum_{j>k} U[k][j] y_j.
+    best = inf  # the first leaf reached is the nearest-plane point
     sols: list[tuple[int, ...]] = []
     u = [0] * g
-    y = [Fraction(0)] * g  # y[i] = u[i] - t[i] for fixed levels
+    y = [0] * g
 
-    def descend(level: int, acc: Fraction):
+    def descend(level: int, acc: int):
         nonlocal best, sols
         if level < 0:
             if acc < best:
@@ -185,40 +183,37 @@ def closest_vectors_all(lat: GramLattice, point) -> tuple[Fraction, list[tuple[i
             elif acc == best:
                 sols.append(tuple(u))
             return
-        # center: term is d[level] * (u - c)^2 with c below
-        shift = sum(l[level][j] * y[j] for j in range(level + 1, g))
-        c = t[level] - shift
-        dlev = d[level]
-        base = floor(c)
-        # scan outward: base, base+1, base-1, base+2, ...
-        lo, hi = base, base + 1
+        row = rows[level]
+        pivot = row[level]
+        a = m * pivot
+        b = pivot * s[level] - sum(row[j] * y[j] for j in range(level + 1, g))
+        w = weights[level]
+        # scan outward from the centre b / a: lo, lo+1, lo-1, lo+2, ...
+        lo = b // a
+        hi = lo + 1
         lo_open, hi_open = True, True
         while lo_open or hi_open:
-            if lo_open and (not hi_open or (c - lo) <= (hi - c)):
+            if lo_open and (not hi_open or b - a * lo <= a * hi - b):
                 cand = lo
                 lo -= 1
-            elif hi_open:
+            else:
                 cand = hi
                 hi += 1
-            else:
-                break
-            delta = Fraction(cand) - c
-            term = dlev * delta * delta
+            e = a * cand - b
+            term = w * e * e
             if acc + term > best:
-                if cand <= c:
+                if e <= 0:
                     lo_open = False
-                if cand >= c:
+                if e >= 0:
                     hi_open = False
                 continue
             u[level] = cand
-            y[level] = Fraction(cand) - t[level]
+            y[level] = m * cand - s[level]
             descend(level - 1, acc + term)
-        u[level] = 0
-        y[level] = Fraction(0)
 
-    descend(g - 1, Fraction(0))
+    descend(g - 1, 0)
     sols.sort()
-    return best, sols
+    return Fraction(best, lat._den * scale * m * m), sols
 
 
 def closest_vector(lat: GramLattice, point) -> tuple[int, ...]:

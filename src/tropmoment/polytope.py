@@ -221,9 +221,7 @@ def voronoi_cell(lat: GramLattice) -> Polytope:
     halfspaces = tuple(
         HalfSpace(
             normal=u,
-            row=tuple(
-                sum(lat.gram[i][j] * u[j] for j in range(g)) for i in range(g)
-            ),
+            row=tuple(Fraction(sum(map(mul, row, u)), lat._den) for row in lat._int_gram),
             offset=Fraction(norm_sq(lat, u), 2),
         )
         for u in relevant_vectors(lat)
@@ -277,7 +275,8 @@ def _star_facet_simplices(poly: Polytope) -> tuple[tuple[int, ...], ...]:
     for k in range(len(poly.halfspaces)):
         bit = 1 << k
         facet = frozenset(i for i in range(len(points)) if masks[i] & bit)
-        if _linalg.affine_rank([points[i] for i in facet]) != g - 1:
+        # affine_rank([]) is 0, so an empty facet must be caught first.
+        if not facet or _linalg.affine_rank([points[i] for i in facet]) != g - 1:
             raise DegeneratePolytopeError(f"half-space {k} does not support a facet")
         simplices.extend(tri(facet, g - 1))
     return tuple(simplices)
@@ -312,13 +311,12 @@ def second_moment(lat: GramLattice) -> Fraction:
     """
     poly = voronoi_cell(lat)
     g = lat.rank
-    flat, gram_den = _linalg.integer_row([x for row in lat.gram for x in row])
-    gram = [flat[i:i + g] for i in range(0, g * g, g)]
-    images = [[sum(r * c for r, c in zip(row, x)) for row in gram] for x in poly._scaled]
+    images = [[sum(r * c for r, c in zip(row, x)) for row in lat._int_gram]
+              for x in poly._scaled]
     inner = [[sum(r * c for r, c in zip(x, y)) for y in images] for x in poly._scaled]
     total_det = sum(poly._dets)
     total_mom = sum(det * (sum(inner[i][i] for i in s) + sum(inner[i][j] for i in s for j in s))
                     for s, det in zip(poly._star, poly._dets))
     if total_det == 0:
         raise DegeneratePolytopeError("voronoi cell has zero volume")
-    return Fraction(total_mom, (g + 1) * (g + 2) * poly._den ** 2 * gram_den * total_det)
+    return Fraction(total_mom, (g + 1) * (g + 2) * poly._den ** 2 * lat._den * total_det)

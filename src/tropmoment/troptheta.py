@@ -119,7 +119,9 @@ def functional_equation_residual(lat: GramLattice, nu, u) -> Fraction:
     rational inputs.
     """
     nu = _check_point(lat, nu)
-    uu = tuple(int(c) for c in u)
+    uu = tuple(Fraction(c) for c in u)
+    if any(c.denominator != 1 for c in uu):
+        raise ValueError(f"lattice vector {tuple(u)!r} has a non-integer entry")
     if len(uu) != lat.rank:
         raise ValueError("lattice vector length does not match rank")
     translated = trop_theta(lat, tuple(a + b for a, b in zip(nu, uu)))

@@ -26,6 +26,8 @@ from tropmoment.lattice import (
 A2 = [[2, 1], [1, 2]]
 ID2 = [[1, 0], [0, 1]]
 
+F = Fraction
+
 
 def test_validate_rank1_identity():
     lat = validate([[1]])
@@ -44,9 +46,13 @@ def test_validate_accepts_rational_strings():
 
 
 def test_validate_rejects_indefinite_with_minor_index():
-    with pytest.raises(NotPositiveDefiniteError) as exc:
-        validate([[1, 2], [2, 1]])
-    assert exc.value.minor_index == 2
+    # the singular [[1, 1], [1, 1]] stops at a zero pivot; the 3x3 Gram has
+    # leading minors 2, 3, -15
+    for gram, index in (([[1, 2], [2, 1]], 2), ([[1, 1], [1, 1]], 2),
+                        ([[2, 1, 0], [1, 2, 3], [0, 3, 1]], 3)):
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            validate(gram)
+        assert exc.value.minor_index == index
 
 
 def test_validate_rejects_negative_leading_entry():
@@ -137,6 +143,43 @@ def test_closest_vector_matches_bruteforce():
         odist, osols = oracle_cvp(gram, point)
         assert dist == odist
         assert sols == osols
+
+
+A3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+# A3 in the basis b1, b2 + 2 b1, b3 + b1 + 2 b2: not reduced
+SHEAR = [[1, 2, 1], [0, 1, 2], [0, 0, 1]]
+SHEARED_A3 = [
+    [sum(SHEAR[k][i] * A3[k][l] * SHEAR[l][j] for k in range(3) for l in range(3))
+     for j in range(3)]
+    for i in range(3)
+]
+
+
+def test_closest_vectors_all_on_tie_heavy_targets():
+    cases = []
+    for g in range(1, 5):
+        identity = [[int(i == j) for j in range(g)] for i in range(g)]
+        cases.append((identity, (F(1, 2),) * g, 2**g))
+    # deep holes: the fundamental weights w1 of A2 and w2 of A3
+    cases.append(([[2, -1], [-1, 2]], (F(2, 3), F(1, 3)), 3))
+    cases.append((A3, (F(1, 2), F(1), F(1, 2)), 6))
+    # the A3 deep hole w2 + (1, 0, -1) in the sheared basis:
+    # SHEAR^-1 (3/2, 1, -1/2)
+    cases.append((SHEARED_A3, (F(-2), F(2), F(-1, 2)), 6))
+    for gram, point, ties in cases:
+        dist, sols = closest_vectors_all(validate(gram), point)
+        assert (dist, sols) == oracle_cvp(gram, point)
+        assert len(sols) == ties
+
+
+def test_closest_vectors_all_sheared_basis_and_large_denominators():
+    rng = random.Random(606)
+    for gram in (SHEARED_A3, A3, [[F(7, 3), F(1, 2)], [F(1, 2), F(5, 11)]]):
+        lat = validate(gram)
+        for _ in range(15):
+            point = tuple(F(rng.randint(-5 * 997, 5 * 997), 997)
+                          for _ in range(lat.rank))
+            assert closest_vectors_all(lat, point) == oracle_cvp(gram, point)
 
 
 def test_closest_vector_periodicity():

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from conftest import oracle_solve
+from conftest import _det_int, oracle_qform, oracle_solve
 from tropmoment import _linalg
 
 F = Fraction
@@ -37,3 +37,24 @@ def test_singular_system_returns_none():
 
 def test_integer_row_scales_by_the_lcm():
     assert _linalg.integer_row([F(1, 2), F(2, 3), 5]) == ([3, 4, 30], 6)
+
+
+def test_int_ldl_reproduces_the_quadratic_form():
+    rng = random.Random(12)
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        while True:
+            b = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            if _det_int(b) != 0:
+                break
+        a = [[sum(b[k][i] * b[k][j] for k in range(n)) for j in range(n)]
+             for i in range(n)]
+        u, w, scale = _linalg.int_ldl(a)
+        for k in range(n):
+            assert u[k][k] == _det_int([row[:k + 1] for row in a[:k + 1]])
+            assert all(u[k][j] == 0 for j in range(k))
+        for _ in range(5):
+            x = [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)]
+            value = sum(w[k] * sum(u[k][j] * x[j] for j in range(k, n)) ** 2
+                        for k in range(n))
+            assert F(value, scale) == oracle_qform(a, x)

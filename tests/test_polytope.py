@@ -212,6 +212,17 @@ def test_volume_degenerate_raises():
         volume(flat)
 
 
+def test_star_triangulation_rejects_halfspace_without_facet():
+    # rank-1 cell of [[7]] with only the vertex 1/2: no vertex is tight on
+    # the half-space -7x <= 7/2
+    cell = voronoi_cell(validate([[7]]))
+    half = Polytope(halfspaces=cell.halfspaces, vertices=((F(1, 2),),))
+    k = next(k for k, hs in enumerate(cell.halfspaces) if hs.normal == (-1,))
+    with pytest.raises(DegeneratePolytopeError,
+                       match=f"half-space {k} does not support a facet"):
+        star_triangulation(half)
+
+
 def test_halfspace_invariants():
     with pytest.raises(ValueError):
         HalfSpace(normal=(0, 0), row=(F(0), F(0)), offset=F(1))

@@ -97,6 +97,14 @@ def test_functional_equation_a2_example():
     assert functional_equation_residual(A2, (F(1, 3), F(1, 7)), (2, -1)) == 0
 
 
+def test_functional_equation_rejects_non_integer_shift():
+    lat = validate([[7]])
+    for u in ((F(1, 2),), (2.7,), ("1/3",)):
+        with pytest.raises(ValueError, match="non-integer"):
+            functional_equation_residual(lat, (F(1, 5),), u)
+    assert functional_equation_residual(lat, (F(1, 5),), (F(4, 2),)) == 0
+
+
 def test_functional_equation_seeded():
     rng = random.Random(77)
     for _ in range(100):
