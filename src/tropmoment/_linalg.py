@@ -2,11 +2,14 @@
 
 Everything in this package runs at desk scale (matrix sizes bounded by the
 lattice rank plus a handful of graph nodes), so these routines optimize for
-exactness and determinism, not asymptotics.  Determinants, ranks, solves
-and the LDL form all use fraction-free (Bareiss) elimination; one pass
-solves a system for every right-hand side at once.  Rational input is
-scaled to integers first (``integer_row``) so that the hot paths stay in
-plain ``int`` arithmetic.
+exactness and determinism, not asymptotics.  Determinants, solves and
+the LDL form use fraction-free (Bareiss) elimination; one pass solves a
+system for every right-hand side at once.  ``int_rank`` is plain integer
+elimination: it cross-multiplies only the rows with a nonzero entry in
+the pivot column and never divides (a Bareiss rank, which must update
+every row to keep its divisions exact, measured slower in double
+description).  Rational input is scaled to integers first
+(``integer_row``) so that the hot paths stay in plain ``int`` arithmetic.
 """
 
 from __future__ import annotations
@@ -120,7 +123,7 @@ def int_ldl(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
 
 
 def int_rank(rows: list[list[int]]) -> int:
-    """Rank over Q of an integer matrix (fraction-free elimination)."""
+    """Rank over Q of an integer matrix (division-free elimination)."""
     m = [row[:] for row in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0

@@ -96,20 +96,21 @@ def _emit(payload: dict, fmt: str) -> None:
 
 
 def _default_terms(args) -> int:
-    if getattr(args, "terms", None) is not None:
-        return args.terms
     env = os.environ.get("TROPMOMENT_TERMS")
-    if env is not None:
+    if args.terms is not None:
+        value, path = args.terms, "--terms"
+    elif env is None:
+        return heights.DEFAULT_TERMS
+    else:
         try:
-            value = int(env)
+            value, path = int(env), "TROPMOMENT_TERMS"
         except ValueError:
             raise formats.ParseError(
                 "cli", "TROPMOMENT_TERMS", f"not an integer: {env!r}"
             ) from None
-        if value < 1:
-            raise DomainError("cli", "TROPMOMENT_TERMS", "must be >= 1")
-        return value
-    return heights.DEFAULT_TERMS
+    if value < 1:
+        raise DomainError("cli", path, "must be >= 1")
+    return value
 
 
 def _parse_point(text: str, module: str, path: str):
@@ -206,7 +207,10 @@ def _cmd_ffheight(args) -> dict:
         parse_rational(part.strip(), "heights", f"--moments[{i}]")
         for i, part in enumerate(args.moments.split(","))
     ] if args.moments else []
-    value = heights.function_field_height(args.g, h_nt, moments)
+    try:
+        value = heights.function_field_height(args.g, h_nt, moments)
+    except ValueError as exc:  # g < 1
+        raise DomainError("heights", "--g", str(exc)) from None
     return {"g": args.g, "h_nt_theta": h_nt, "moments": moments, "h": value}
 
 
@@ -234,19 +238,15 @@ def _cmd_neron(args) -> dict:
                 int(nu), int(ell)
             )
         return out
-    missing = [
-        name
-        for name, v in (
-            ("--q-re", args.q_re), ("--q-im", args.q_im),
-            ("--z-re", args.z_re), ("--z-im", args.z_im),
-        )
-        if v is None
-    ]
+    floats = (("--q-re", args.q_re), ("--q-im", args.q_im),
+              ("--z-re", args.z_re), ("--z-im", args.z_im))
+    missing = [name for name, v in floats if v is None]
     if missing:
         raise formats.SchemaError("neron", ",".join(missing),
                                   "archimedean mode needs all of q and z")
-    q = complex(args.q_re, args.q_im)
-    z = complex(args.z_re, args.z_im)
+    q_re, q_im, z_re, z_im = (formats._expect_number(v, "neron", name) for name, v in floats)
+    q = complex(q_re, q_im)
+    z = complex(z_re, z_im)
     terms = _default_terms(args)
     theta = neron.tate_theta_log_abs(q, z, terms)
     return {

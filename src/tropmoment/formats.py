@@ -11,6 +11,7 @@ field.  Schemas are documented in docs/formats.md.
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -80,7 +81,13 @@ def _expect_int(value, module: str, path: str) -> int:
 def _expect_number(value, module: str, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(module, path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise SchemaError(module, path, "expected a finite number")
+    return number
 
 
 def _expect_key(obj: dict, key: str, module: str, path: str):
@@ -97,7 +104,9 @@ def load_json_file(path, module: str):
             return json.load(fh)
     except OSError as exc:
         raise ParseError(module, str(path), f"cannot read file: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, UnicodeDecodeError, an int past the digit limit,
+        # or nesting past the recursion limit
         raise ParseError(module, str(path), f"invalid JSON: {exc}") from None
 
 

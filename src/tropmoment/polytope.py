@@ -16,7 +16,12 @@ VERTEX_BUDGET vertices at once.
 
 Volumes and moments are computed in coordinate Lebesgue measure over a
 star triangulation: origin cone over facet triangulations, each face
-starred recursively from its lexicographically least vertex.  The metric
+starred recursively from its lowest-indexed vertex (the lexicographically
+least, as voronoi_cell sorts them).  Faces are vertex bitmasks, found from
+the vertex-facet incidences alone: the facets of a face F are the
+inclusion-maximal proper, nonempty intersections of F with the facets of
+the cell (Ziegler, Lectures on Polytopes, 2.1), and a d-face with d + 1
+vertices is a simplex.  The metric
 Jacobian sqrt(det G) cancels in the normalized moment, so it never
 appears.  The per-simplex closed form
 
@@ -33,7 +38,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
 from math import factorial, gcd, isqrt
 from operator import mul
@@ -132,15 +136,6 @@ class Polytope:
     def dim(self) -> int:
         return len(self.halfspaces[0].row)
 
-    @cached_property
-    def _star(self) -> tuple[tuple[int, ...], ...]:
-        return _star_facet_simplices(self)
-
-    @cached_property
-    def _dets(self) -> tuple[int, ...]:
-        return tuple(abs(_linalg.int_det([self._scaled[i] for i in s]))
-                     for s in self._star)
-
 
 def _integer_constraints(halfspaces) -> tuple[list[list[int]], list[int]]:
     """Scale each constraint to integers; a positive row scale changes
@@ -231,55 +226,45 @@ def voronoi_cell(lat: GramLattice) -> Polytope:
     return Polytope(halfspaces=halfspaces, vertices=tuple(sorted(verts)))
 
 
-def _star_facet_simplices(poly: Polytope) -> tuple[tuple[int, ...], ...]:
-    """Triangulate every facet; each returned tuple holds vertex indices of
-    one (g-1)-simplex, to be coned with the origin by the callers."""
+def _star_facet_simplices(poly: Polytope) -> list[tuple[tuple[int, ...], int]]:
+    """Triangulate every facet: ``(s, |det|)`` for each (g-1)-simplex, where
+    ``s`` holds vertex indices and ``det`` is the determinant of their
+    integer rows, the scaled volume of the cone over ``s`` from the origin."""
     g = poly.dim
-    masks = poly._tight_masks
     points = poly._scaled
-    cache: dict[frozenset[int], list[tuple[int, ...]]] = {}
+    # Facet k as the bitmask of the vertices tight on half-space k.
+    facets = [0] * len(poly.halfspaces)
+    for i, mask in enumerate(poly._tight_masks):
+        for k in _bits(mask):
+            facets[k] |= 1 << i
+    cache: dict[int, list[tuple[int, ...]]] = {}
 
-    def tri(face: frozenset[int], d: int) -> list[tuple[int, ...]]:
+    def tri(face: int, d: int) -> list[tuple[int, ...]]:
         if face in cache:
             return cache[face]
-        ids = sorted(face)
-        if d == 0:
-            assert len(ids) == 1
-            out = [(ids[0],)]
-        elif d == 1:
-            assert len(ids) == 2
-            out = [tuple(ids)]
+        if face.bit_count() == d + 1:
+            out = [tuple(_bits(face))]
         else:
-            apex = min(ids, key=points.__getitem__)
+            # The facets of a face F are the inclusion-maximal proper,
+            # nonempty F & F_k; star F from its lowest-indexed vertex.
+            apex_bit = face & -face
+            apex = (apex_bit.bit_length() - 1,)
+            subs = dict.fromkeys(s for s in (face & f for f in facets) if s and s != face)
             out = []
-            seen: set[frozenset[int]] = set()
-            face_mask = masks[ids[0]]
-            for i in ids[1:]:
-                face_mask &= masks[i]
-            for k in range(len(poly.halfspaces)):
-                bit = 1 << k
-                if face_mask & bit:
+            for sub in subs:
+                if sub & apex_bit or any(sub != t and sub | t == t for t in subs):
                     continue
-                sub = frozenset(i for i in ids if masks[i] & bit)
-                if not sub or apex in sub or sub in seen:
-                    continue
-                if _linalg.affine_rank([points[i] for i in sub]) != d - 1:
-                    continue
-                seen.add(sub)
-                for s in tri(sub, d - 1):
-                    out.append(s + (apex,))
+                out.extend(apex + s for s in tri(sub, d - 1))
         cache[face] = out
         return out
 
     simplices: list[tuple[int, ...]] = []
-    for k in range(len(poly.halfspaces)):
-        bit = 1 << k
-        facet = frozenset(i for i in range(len(points)) if masks[i] & bit)
+    for k, facet in enumerate(facets):
         # affine_rank([]) is 0, so an empty facet must be caught first.
-        if not facet or _linalg.affine_rank([points[i] for i in facet]) != g - 1:
+        if not facet or _linalg.affine_rank([points[i] for i in _bits(facet)]) != g - 1:
             raise DegeneratePolytopeError(f"half-space {k} does not support a facet")
         simplices.extend(tri(facet, g - 1))
-    return tuple(simplices)
+    return [(s, abs(_linalg.int_det([points[i] for i in s]))) for s in simplices]
 
 
 def star_triangulation(poly: Polytope) -> tuple[Simplex, ...]:
@@ -289,7 +274,7 @@ def star_triangulation(poly: Polytope) -> tuple[Simplex, ...]:
     origin = tuple(Fraction(0) for _ in range(g))
     return tuple(
         Simplex(vertices=(origin,) + tuple(poly.vertices[i] for i in s))
-        for s in poly._star
+        for s, _ in _star_facet_simplices(poly)
     )
 
 
@@ -298,7 +283,8 @@ def volume(poly: Polytope) -> Fraction:
     g = poly.dim
     if _linalg.affine_rank(poly._scaled) != g:
         raise DegeneratePolytopeError("polytope is not full-dimensional")
-    return Fraction(sum(poly._dets), factorial(g) * poly._den ** g)
+    total_det = sum(det for _, det in _star_facet_simplices(poly))
+    return Fraction(total_det, factorial(g) * poly._den ** g)
 
 
 def second_moment(lat: GramLattice) -> Fraction:
@@ -314,9 +300,10 @@ def second_moment(lat: GramLattice) -> Fraction:
     images = [[sum(r * c for r, c in zip(row, x)) for row in lat._int_gram]
               for x in poly._scaled]
     inner = [[sum(r * c for r, c in zip(x, y)) for y in images] for x in poly._scaled]
-    total_det = sum(poly._dets)
+    star = _star_facet_simplices(poly)
+    total_det = sum(det for _, det in star)
     total_mom = sum(det * (sum(inner[i][i] for i in s) + sum(inner[i][j] for i in s for j in s))
-                    for s, det in zip(poly._star, poly._dets))
+                    for s, det in star)
     if total_det == 0:
         raise DegeneratePolytopeError("voronoi cell has zero volume")
     return Fraction(total_mom, (g + 1) * (g + 2) * poly._den ** 2 * lat._den * total_det)

@@ -132,6 +132,67 @@ def oracle_cell_vertices(gram, normals):
     return verts
 
 
+def oracle_rank(rows):
+    """Rank over Q by Gaussian elimination over Fractions."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot_row = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if pivot_row is None:
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        for r in range(rank + 1, len(m)):
+            if m[r][col] != 0:
+                f = m[r][col] / m[rank][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def oracle_affine_rank(points):
+    if len(points) <= 1:
+        return 0
+    return oracle_rank([[x - y for x, y in zip(p, points[0])] for p in points[1:]])
+
+
+def oracle_star_simplices(poly):
+    """Vertex-index sets of the facet simplices of the origin star, by the
+    rank-tested face recursion: each face is starred from its
+    lexicographically least vertex over its facets, and a facet of a d-face
+    F is an intersection of F with a cell facet whose affine rank is d - 1.
+    Tightness is decided from the half-spaces in Fractions."""
+    points = poly.vertices
+    tight = [
+        frozenset(i for i, v in enumerate(points)
+                  if sum(r * c for r, c in zip(hs.row, v)) == hs.offset)
+        for hs in poly.halfspaces
+    ]
+    den = lcm(*(c.denominator for v in points for c in v))
+    scaled = [[int(c * den) for c in v] for v in points]
+    cache = {}
+
+    def tri(face, d):
+        if face not in cache:
+            if d <= 1:
+                assert len(face) == d + 1
+                out = [face]
+            else:
+                apex = min(face, key=points.__getitem__)
+                out, seen = [], set()
+                for facet in tight:
+                    sub = face & facet
+                    if not sub or sub == face or apex in sub or sub in seen:
+                        continue
+                    if len(sub) < d or oracle_affine_rank([scaled[i] for i in sub]) != d - 1:
+                        continue
+                    seen.add(sub)
+                    out.extend(s | {apex} for s in tri(sub, d - 1))
+            cache[face] = out
+        return cache[face]
+
+    return [s for facet in tight for s in tri(facet, poly.dim - 1)]
+
+
 def oracle_shortest(gram):
     """All nonzero lattice vectors of minimal norm (box certified by the
     smallest diagonal entry, which the minimum cannot exceed)."""

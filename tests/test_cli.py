@@ -2,6 +2,8 @@ import json
 import math
 import time
 
+import pytest
+
 from tropmoment import polytope
 from tropmoment.cli import main
 from tropmoment.selftest import run_selftest
@@ -9,6 +11,9 @@ from tropmoment.selftest import run_selftest
 F_ID2 = {"rank": 2, "gram": [[1, 0], [0, 1]]}
 F_A2 = {"rank": 2, "gram": [[2, 1], [1, 2]]}
 F_CIRCLE12 = {"vertices": 1, "edges": [{"tail": 0, "head": 0, "length": 12}]}
+F_PLACES = {"degree": 1, "nonarch": [{"ord_delta": 1, "log_nv": 1.0}],
+            "arch": [{"tau_re": 0.1, "tau_im": 1.2}]}
+NERON_ARCH = ("neron", "--q-re", "0.1", "--q-im", "0", "--z-re", "0.5", "--z-im", "0.1")
 
 
 def run_cli(capsys, *argv):
@@ -279,3 +284,57 @@ def test_selftest_reports_foster_check():
     assert len(foster) == 1
     assert foster[0].ok, foster[0].detail
     assert foster[0].detail == "12 seeded graphs"
+
+
+def assert_structured_error(code, out, error_type, module, path):
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert (err["type"], err["module"], err["path"]) == (error_type, module, path)
+
+
+@pytest.mark.parametrize("argv, error_type, module, path", [
+    (NERON_ARCH + ("--terms", "0"), "DomainError", "cli", "--terms"),
+    (("elliptic-height", "--input", "{places}", "--terms", "0"),
+     "DomainError", "cli", "--terms"),
+    (("elliptic-height", "--input", "{places}", "--terms", "-3"),
+     "DomainError", "cli", "--terms"),
+    (("ffheight", "--g", "0", "--hnt", "1"), "DomainError", "heights", "--g"),
+    (("ffheight", "--g", "-2", "--hnt", "1"), "DomainError", "heights", "--g"),
+    (NERON_ARCH[:5] + ("--z-re", "nan", "--z-im", "0.1"), "SchemaError", "neron", "--z-re"),
+    (NERON_ARCH[:5] + ("--z-re", "inf", "--z-im", "0.1"), "SchemaError", "neron", "--z-re"),
+    (NERON_ARCH[:7] + ("--z-im=-inf",), "SchemaError", "neron", "--z-im"),
+    (("neron", "--q-re", "nan") + NERON_ARCH[3:], "SchemaError", "neron", "--q-re"),
+])
+def test_malformed_arguments_exit_2(tmp_path, capsys, argv, error_type, module, path):
+    places = write(tmp_path, "places.json", F_PLACES)
+    argv = [a.replace("{places}", places) for a in argv]
+    assert_structured_error(*run_cli(capsys, *argv), error_type, module, path)
+
+
+@pytest.mark.parametrize("field, text, path", [
+    ("tau_re", "NaN", "arch[0].tau_re"),
+    ("tau_re", "1e400", "arch[0].tau_re"),
+    ("tau_im", "Infinity", "arch[0].tau_im"),
+    ("log_nv", "1e400", "nonarch[0].log_nv"),
+    ("log_nv", "-Infinity", "nonarch[0].log_nv"),
+    ("log_nv", "1" + "0" * 400, "nonarch[0].log_nv"),
+])
+def test_non_finite_place_numbers_exit_2(tmp_path, capsys, field, text, path):
+    raw = json.dumps(F_PLACES).replace(f'"{field}": ', f'"{field}": {text}, "_": ')
+    file = tmp_path / "places.json"
+    file.write_text(raw)
+    code, out = run_cli(capsys, "elliptic-height", "--input", str(file))
+    assert_structured_error(code, out, "SchemaError", "heights", path)
+    assert "Infinity" not in out and "NaN" not in out
+
+
+@pytest.mark.parametrize("raw", [
+    b"[" * 100000,
+    b'{"rank": ' + b"1" * 5000 + b"}",
+    b'{"rank": 1, "gram": [["\xff"]]}',
+])
+def test_unreadable_json_is_a_parse_error(tmp_path, capsys, raw):
+    file = tmp_path / "lattice.json"
+    file.write_bytes(raw)
+    assert_structured_error(*run_cli(capsys, "moment", "--lattice", str(file)),
+                            "ParseError", "lattice", str(file))

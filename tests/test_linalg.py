@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from conftest import _det_int, oracle_qform, oracle_solve
+from conftest import _det_int, oracle_affine_rank, oracle_qform, oracle_rank, oracle_solve
 from tropmoment import _linalg
 
 F = Fraction
@@ -58,3 +58,32 @@ def test_int_ldl_reproduces_the_quadratic_form():
             value = sum(w[k] * sum(u[k][j] * x[j] for j in range(k, n)) ** 2
                         for k in range(n))
             assert F(value, scale) == oracle_qform(a, x)
+
+
+def _low_rank_matrix(rng, nrows, ncols, rank):
+    """Product of random nrows x rank and rank x ncols integer factors,
+    with some rows and columns set to zero."""
+    left = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(nrows)]
+    right = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(rank)]
+    m = [[sum(left[i][k] * right[k][j] for k in range(rank)) for j in range(ncols)]
+         for i in range(nrows)]
+    for i in rng.sample(range(nrows), rng.randint(0, nrows // 2)):
+        m[i] = [0] * ncols
+    for j in rng.sample(range(ncols), rng.randint(0, ncols // 2)):
+        for row in m:
+            row[j] = 0
+    return m
+
+
+def test_int_rank_and_affine_rank_match_fraction_elimination():
+    rng = random.Random(13)
+    cases = [[], [[0]], [[0, 0, 0]], [[0] * 4 for _ in range(3)], [[0], [0], [5]]]
+    for _ in range(400):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        cases.append(_low_rank_matrix(rng, nrows, ncols, rng.randint(0, min(nrows, ncols))))
+    for m in cases:
+        assert _linalg.int_rank(m) == oracle_rank(m)
+    for m in cases[1:]:
+        # rational points: scale each row by its own positive denominator
+        points = [[F(x, i + 1) for x in row] for i, row in enumerate(m)]
+        assert _linalg.affine_rank(points) == oracle_affine_rank(points)

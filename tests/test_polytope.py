@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import oracle_cell_vertices, random_connected_multigraph, random_pd_gram
+from conftest import (
+    oracle_cell_vertices,
+    oracle_star_simplices,
+    random_connected_multigraph,
+    random_pd_gram,
+)
 from tropmoment.lattice import validate
 from tropmoment.metricgraph import cycle_basis, jacobian_gram
 from tropmoment.polytope import (
@@ -11,6 +16,7 @@ from tropmoment.polytope import (
     HalfSpace,
     Polytope,
     Simplex,
+    _star_facet_simplices,
     second_moment,
     star_triangulation,
     volume,
@@ -140,16 +146,49 @@ def test_cell_vertices_match_brute_force_oracle():
         _cartan(4, [(0, 1), (1, 2), (2, 3)]),
         _cartan(4, [(0, 1), (1, 2), (1, 3)]),
     ]
-    # the cycle lattices of acceptance criterion 02, up to rank 4
+    for gram in grams + _criterion02_grams():
+        cell = voronoi_cell(validate(gram))
+        normals = [hs.normal for hs in cell.halfspaces]
+        assert set(cell.vertices) == oracle_cell_vertices(gram, normals)
+
+
+def _criterion02_grams():
+    """The cycle lattices of acceptance criterion 02, up to rank 4."""
     rng = random.Random(20260810)
+    grams = []
     for _ in range(200):
         graph = random_connected_multigraph(rng, max_edges=6)
         if cycle_basis(graph) and jacobian_gram(graph).rank <= 4:
             grams.append(jacobian_gram(graph).gram)
-    for gram in grams:
+    return grams
+
+
+def _sheared(gram, rng):
+    """U^T G U for a seeded unimodular U, far from a reduced basis."""
+    n = len(gram)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        for row in u:
+            row[j] += k * row[i]
+    return [[sum(u[a][i] * gram[a][b] * u[b][j] for a in range(n) for b in range(n))
+             for j in range(n)] for i in range(n)]
+
+
+def test_star_triangulation_matches_rank_tested_oracle():
+    rng = random.Random(2468)
+    grams = [_cartan(n, [(i, i + 1) for i in range(n - 1)]) for n in range(2, 7)]
+    grams += [[[int(i == j) for j in range(n)] for i in range(n)] for n in range(1, 5)]
+    grams += [_cartan(4, [(0, 1), (1, 2), (1, 3)]),
+              _cartan(5, [(0, 1), (1, 2), (2, 3), (2, 4)]),
+              _cartan(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])]
+    grams += [_sheared(_cartan(n, [(i, i + 1) for i in range(n - 1)]), rng) for n in (3, 4)]
+    grams += [random_pd_gram(rng, max_rank=4) for _ in range(6)]
+    for gram in grams + _criterion02_grams():
         cell = voronoi_cell(validate(gram))
-        normals = [hs.normal for hs in cell.halfspaces]
-        assert set(cell.vertices) == oracle_cell_vertices(gram, normals)
+        got = sorted(tuple(sorted(s)) for s, _ in _star_facet_simplices(cell))
+        assert got == sorted(tuple(sorted(s)) for s in oracle_star_simplices(cell))
 
 
 def test_cell_vertices_minimize_distance_at_themselves():
@@ -282,3 +321,9 @@ def test_gold_root_lattice_d4():
 
 def test_gold_root_lattice_d5():
     _check_cell(_cartan(5, [(0, 1), (1, 2), (2, 3), (2, 4)]), F(1, 2), 40, 42)
+
+
+def test_gold_root_lattice_e6():
+    # G(E6) = 5 / (56 * 3^(1/6)) (Conway & Sloane, SPLAG ch. 21), and
+    # det E6 = 3, so I = g G det^(1/g) = 15/28
+    _check_cell(_cartan(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)]), F(15, 28), 72, 54)
