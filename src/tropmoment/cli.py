@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -248,7 +249,12 @@ def _cmd_neron(args) -> dict:
     q = complex(q_re, q_im)
     z = complex(z_re, z_im)
     terms = _default_terms(args)
-    theta = neron.tate_theta_log_abs(q, z, terms)
+    try:
+        theta = neron.tate_theta_log_abs(q, z, terms)
+    except neron.BadModulusError as exc:
+        raise DomainError("neron", "--q-re,--q-im", str(exc)) from None
+    except (neron.AtDivisorError, neron.OutOfRangeError) as exc:
+        raise DomainError("neron", "--z-re,--z-im", str(exc)) from None
     return {
         "mode": "archimedean",
         "value": neron.tate_local_height(q, z, terms),
@@ -279,8 +285,23 @@ def _cmd_selftest(args) -> tuple[dict, int]:
     return payload, 0 if payload["passed"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a SchemaError naming the
+    option, so it reaches stdout as an error object like every other
+    validation failure.  ``--help`` still prints usage and exits 0."""
+
+    def error(self, message):
+        named = re.match(r"argument (\S+): (.*)", message, re.DOTALL)
+        if named:
+            raise formats.SchemaError("cli", named[1], named[2])
+        missing = re.match(r"the following arguments are required: (.*)", message)
+        if missing:
+            raise formats.SchemaError("cli", missing[1].replace(" ", ""), "required")
+        raise formats.SchemaError("cli", "arguments", message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tropmoment",
         description="Exact tropical second moments, metric-graph invariants, "
                     "and elliptic height identities.",
@@ -346,8 +367,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    # parsed into a namespace made here, so that the error report of a
+    # malformed command line still honours a --format read before it
+    args = argparse.Namespace()
     try:
+        _build_parser().parse_args(argv, args)
         if args.command == "selftest":
             payload, status = _cmd_selftest(args)
             _emit(payload, args.format)

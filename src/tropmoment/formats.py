@@ -15,7 +15,7 @@ import math
 import re
 from fractions import Fraction
 
-from .heights import EllipticPlaces, NonArchPlace
+from .heights import EllipticPlaces, FloatRangeError, NonArchPlace, _q_in_range
 from .lattice import GramLattice, LatticeError, validate
 from .metricgraph import DisconnectedGraphError, Edge, MetricGraph
 
@@ -195,8 +195,15 @@ def load_places(obj) -> EllipticPlaces:
         if not im_part > 0:
             raise DomainError(module, f"arch[{i}].tau_im",
                               "period must lie in the upper half plane")
-        arch.append(complex(re_part, im_part))
+        tau = complex(re_part, im_part)
+        try:
+            _q_in_range(tau)
+        except FloatRangeError as exc:
+            raise DomainError(module, f"arch[{i}].tau_im", str(exc)) from None
+        arch.append(tau)
     try:
         return EllipticPlaces(degree=degree, nonarch=tuple(nonarch), arch=tuple(arch))
+    except FloatRangeError as exc:  # the nonarch terms overflow in sum
+        raise DomainError(module, "nonarch", str(exc)) from None
     except ValueError as exc:
         raise DomainError(module, "arch", str(exc)) from None

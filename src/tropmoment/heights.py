@@ -38,6 +38,7 @@ exact rationals.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -51,6 +52,7 @@ __all__ = [
     "HeightReport",
     "NonPositiveImaginaryPartError",
     "NegativeOrderError",
+    "FloatRangeError",
     "log_abs_delta",
     "arch_local_invariant",
     "nonarch_local_invariant",
@@ -74,6 +76,10 @@ class NegativeOrderError(ValueError):
     pass
 
 
+class FloatRangeError(ValueError):
+    """An input whose binary64 evaluation would overflow or underflow."""
+
+
 class SeriesValue(NamedTuple):
     """A truncated-series value together with its truncation tail bound."""
 
@@ -93,6 +99,16 @@ class NonArchPlace:
             raise NegativeOrderError("ord_delta must be >= 0")
         if not self.log_nv > 0:
             raise ValueError("log_nv must be positive")
+        if _weight(self) == math.inf:
+            raise FloatRangeError("ord_delta * log_nv exceeds the binary64 range")
+
+
+def _weight(place: NonArchPlace) -> float:
+    """ord_delta * log_nv, the place's term of the classical formula."""
+    try:
+        return place.ord_delta * place.log_nv
+    except OverflowError:  # an ord_delta past the float range
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -117,6 +133,14 @@ class EllipticPlaces:
             )
         for tau in self.arch:
             _check_tau(tau)
+        total = 0.0
+        for i, place in enumerate(self.nonarch):
+            total += _weight(place)
+            if total == math.inf:
+                raise FloatRangeError(
+                    f"the sum of ord_delta * log_nv up to nonarch[{i}] "
+                    "exceeds the binary64 range"
+                )
 
 
 @dataclass(frozen=True)
@@ -155,7 +179,7 @@ def log_abs_delta(tau: complex, n_terms: int = DEFAULT_TERMS) -> SeriesValue:
 def _log_abs_delta(tau: complex, n_terms: int) -> SeriesValue:
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    q = _cexp_2pii(tau)
+    q = _q_in_range(tau)
     abs_q = abs(q)
     total = math.log(abs_q)  # = -2 pi Im tau
     q_pow = complex(1.0)
@@ -167,6 +191,20 @@ def _log_abs_delta(tau: complex, n_terms: int) -> SeriesValue:
         if tail < _TAIL_TARGET:
             break
     return SeriesValue(total, tail)
+
+
+def _q_in_range(tau: complex) -> complex:
+    """q = exp(2 pi i tau), whose modulus must be a normal binary64 number
+    below 1: past Im tau of about 112 it underflows (log|q| is then
+    undefined or inexact), and below about 2e-17 it rounds to 1 (the tail
+    bound divides by 1 - |q|)."""
+    q = _cexp_2pii(tau)
+    if not sys.float_info.min <= abs(q) < 1.0:
+        raise FloatRangeError(
+            f"Im tau = {tau.imag!r} gives |q| = exp(-2 pi Im tau) = {abs(q)!r}, "
+            "outside the normal binary64 numbers below 1"
+        )
+    return q
 
 
 def _cexp_2pii(tau: complex) -> complex:

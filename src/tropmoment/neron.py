@@ -29,6 +29,7 @@ the special fiber.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 from .heights import _TAIL_TARGET, DEFAULT_TERMS, SeriesValue
@@ -69,18 +70,35 @@ def b2(t):
 
 def _check_modulus(q: complex) -> complex:
     q = complex(q)
-    if not 0.0 < abs(q) < 1.0:
-        raise BadModulusError(f"|q| must lie in (0, 1), got |q| = {abs(q)!r}")
+    abs_q = math.hypot(q.real, q.imag)
+    if not sys.float_info.min <= abs_q < 1.0:
+        raise BadModulusError(
+            f"|q| must be a normal binary64 number in (0, 1), got |q| = {abs_q!r}"
+        )
     return q
 
 
 def _check_off_divisor(q: complex, z: complex):
-    """Reject z within relative distance 1e-9 of some q^n."""
+    """Reject z within relative distance 1e-9 of some q^n, and a |z| whose
+    reciprocal or modulus leaves the binary64 range."""
     if z == 0:
         raise AtDivisorError("z must be nonzero")
-    n0 = round(math.log(abs(z)) / math.log(abs(q)))
+    abs_z = math.hypot(z.real, z.imag)
+    if not sys.float_info.min <= abs_z <= sys.float_info.max:
+        raise OutOfRangeError(
+            f"|z| = {abs_z!r} is outside the normal binary64 range"
+        )
+    abs_q = abs(q)
+    log_abs_z, log_abs_q = math.log(abs_z), math.log(abs_q)
+    n0 = round(log_abs_z / log_abs_q)
     for n in (n0 - 1, n0, n0 + 1):
-        if abs(z / q**n - 1.0) < _DIVISOR_TOL:
+        log_ratio = log_abs_z - n * log_abs_q  # log |z / q^n|
+        if abs(log_ratio) >= 1.0:  # far from the divisor
+            continue
+        # z / q^n from its modulus and unit-modulus factors: no power of q
+        # is formed, so none overflows or underflows
+        ratio = math.exp(log_ratio) * (z / abs_z) / (q / abs_q) ** n
+        if abs(ratio - 1.0) < _DIVISOR_TOL:
             raise AtDivisorError(
                 f"z is within relative tolerance {_DIVISOR_TOL} of q^{n}"
             )
@@ -92,7 +110,9 @@ def tate_theta_log_abs(
     """log|theta(z)| for theta(z) = (1-z) prod (1 - q^n z)(1 - q^n / z).
 
     The truncation tail bound is reported; the series stops early once it
-    falls below 1e-15.  In log form the product satisfies
+    falls below 1e-15.  A z so far from the unit circle that no factor up
+    to n_terms gives a bound raises OutOfRangeError.  In log form the
+    product satisfies
     log|theta(qz)| = log|theta(z)| - log|z|.
     """
     q = _check_modulus(q)
@@ -117,6 +137,11 @@ def tate_theta_log_abs(
             )
             if tail < _TAIL_TARGET:
                 break
+    if tail == math.inf or not math.isfinite(total):
+        raise OutOfRangeError(
+            f"no tail bound within {n_terms} terms: |z| = {abs(z)!r} is too "
+            f"far from the unit circle for |q| = {abs_q!r}"
+        )
     return SeriesValue(total, tail)
 
 

@@ -14,7 +14,9 @@ their values re-based to vanish at the origin.  On rational points all
 values are exact rationals; the minimum is certified by the exact
 closest-vector search.  Integrating 2 * ntheta over the unit coordinate
 torus reproduces the normalized second moment of the Voronoi cell, which
-gives the quadrature cross-check implemented here.
+gives the quadrature cross-check implemented here: the midpoint sum is
+computed exactly in integers, one row sweep of integer lower envelopes,
+and rounded to float once.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor, sqrt
+from math import isqrt, prod
 
 from .lattice import (
     GramLattice,
@@ -143,39 +145,67 @@ def moment_by_quadrature(lat: GramLattice, grid_n: int) -> float:
     """Midpoint-rule estimate of twice the mean of ntheta over the torus.
 
     Converges to the exact normalized second moment of the Voronoi cell
-    as grid_n grows.  Evaluation is in float arithmetic for speed, but
-    the minimization runs over a certified candidate box: the covering
-    radius obeys rho^2 <= (g/4) trace(G), so the minimizing lattice
-    vector for any point of the unit box has i-th coordinate within
-    sqrt((G^-1)_ii * rho^2) of it.  Deterministic: fixed grid, fixed
-    candidate order, left-to-right summation.
+    as grid_n grows.  The midpoint sum is computed exactly and rounded to
+    float once.  A midpoint is x = p / (2n) with p odd, and on the
+    integer Gram A = den G
+
+        den 4n^2 |x - u|^2 = p^T A p + (4n^2 u^T A u - 4n (Au) . p),
+
+    so the sum is a closed form for the p^T A p terms plus, per row of
+    the last coordinate, the lower envelope of one integer line in
+    p_last per candidate u.  The candidates fill a certified box: the
+    covering radius obeys rho^2 <= (g/4) trace(G), so the minimizing
+    lattice vector for any point of the unit box has i-th coordinate
+    within sqrt((G^-1)_ii rho^2) of it.
     """
     if grid_n < 2:
         raise QuadratureGridError("grid must be >= 2")
-    g = lat.rank
-    gram = [[float(x) for x in row] for row in lat.gram]
-    radii = [sqrt(float(s)) + 1e-9 for s in _covering_box_sq(lat)]
-    candidates = list(
-        product(*(range(ceil(-r), floor(1 + r) + 1) for r in radii))
-    )
-    if grid_n**g * len(candidates) > QUADRATURE_BUDGET:
+    n, g = grid_n, lat.rank
+    radii = [isqrt(s.numerator // s.denominator) for s in _covering_box_sq(lat)]
+    count = prod(2 * r + 2 for r in radii)
+    if n**g * count > QUADRATURE_BUDGET:
         raise QuadratureGridError(
-            f"{grid_n}^{g} grid points x {len(candidates)} candidates exceed "
+            f"{n}^{g} grid points x {count} candidates exceed "
             f"the budget of {QUADRATURE_BUDGET} evaluations")
-    total = 0.0
-    inv_n = 1.0 / grid_n
-    for cell in product(range(grid_n), repeat=g):
-        x = [(c + 0.5) * inv_n for c in cell]
-        best = None
-        for u in candidates:
-            d = [x[i] - u[i] for i in range(g)]
-            val = 0.0
-            for i in range(g):
-                row = gram[i]
-                di = d[i]
-                for j in range(g):
-                    val += di * row[j] * d[j]
-            if best is None or val < best:
-                best = val
-        total += best
-    return total / grid_n**g
+    a = lat._int_gram
+    last = g - 1
+    # One line per candidate u: slope -4n (Au)_last in p_last, intercept
+    # 4n^2 u^T A u less 4n (Au)_i p_i over the other coordinates.
+    lines = []
+    for u in product(*(range(-r, r + 2) for r in radii)):
+        au = [sum(x * y for x, y in zip(row, u)) for row in a]
+        uau = sum(x * y for x, y in zip(au, u))
+        lines.append((-4 * n * au[last], 4 * n * n * uau,
+                      [4 * n * x for x in au[:last]]))
+    lines.sort(key=lambda line: -line[0])  # slopes decreasing
+    odd = range(1, 2 * n, 2)
+    total = 0
+    for prefix in product(odd, repeat=last):
+        hull: list[tuple[int, int]] = []  # lower envelope, slopes decreasing
+        for slope, const, coef in lines:
+            c = const - sum(k * p for k, p in zip(coef, prefix))
+            if hull and hull[-1][0] == slope:
+                if hull[-1][1] <= c:
+                    continue
+                hull.pop()
+            # drop the top line while the new one meets the line below it
+            # no later than the top line does
+            while len(hull) >= 2:
+                (b1, c1), (b2, c2) = hull[-2], hull[-1]
+                if (c - c1) * (b1 - b2) > (c2 - c1) * (b1 - slope):
+                    break
+                hull.pop()
+            hull.append((slope, c))
+        j, top = 0, len(hull) - 1
+        b, c = hull[0]
+        for t in odd:
+            while j < top and hull[j + 1][0] * t + hull[j + 1][1] <= b * t + c:
+                j += 1
+                b, c = hull[j]
+            total += b * t + c
+    # sum of p^T A p over the grid: per coordinate sum p = n^2 and
+    # sum p^2 = n (4n^2 - 1) / 3
+    trace = sum(a[i][i] for i in range(g))
+    off = sum(a[i][j] for i in range(g) for j in range(g) if i != j)
+    total += n**last * (trace * (n * (4 * n * n - 1) // 3) + off * n**3)
+    return float(Fraction(total, lat._den * 4 * n * n * n**g))

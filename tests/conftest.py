@@ -85,6 +85,35 @@ def oracle_cvp(gram, point):
     return best, sorted(sols)
 
 
+def oracle_quadrature(gram, n):
+    """Exact midpoint sum (1/n^g) sum_x min_u |x - u|^2 over the grid
+    x = p / (2n), p odd, testing every grid point against every lattice
+    vector of a certified box around it.  In integers: with D G integral,
+    the squared distance is (p - 2n u)^T D G (p - 2n u) / (4 n^2 D), and
+    the box holds every u no farther from x than the rounded point."""
+    g = len(gram)
+    scale = lcm(*(Fraction(x).denominator for row in gram for x in row))
+    ints = [[int(scale * Fraction(x)) for x in row] for row in gram]
+    inv_diag = oracle_inverse_diag(gram)
+
+    def qform(d):
+        return sum(x * sum(y * z for y, z in zip(row, d)) for x, row in zip(d, ints))
+
+    total = 0
+    for p in product(range(1, 2 * n, 2), repeat=g):
+        rounded = [(c + n) // (2 * n) for c in p]
+        best = qform([c - 2 * n * r for c, r in zip(p, rounded)])
+        # Cauchy-Schwarz: (p_i - 2n u_i)^2 <= (G^-1)_ii qform(p - 2n u) / D
+        ranges = []
+        for c, inv in zip(p, inv_diag):
+            reach = isqrt(int(inv * best / scale))
+            ranges.append(range(-((reach - c) // (2 * n)), (c + reach) // (2 * n) + 1))
+        for u in product(*ranges):
+            best = min(best, qform([c - 2 * n * k for c, k in zip(p, u)]))
+        total += best
+    return Fraction(total, scale * 4 * n * n * n**g)
+
+
 def oracle_relevant(gram):
     """Voronoi relevant vectors by the unique +-pair coset criterion."""
     g = len(gram)

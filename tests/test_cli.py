@@ -304,11 +304,58 @@ def assert_structured_error(code, out, error_type, module, path):
     (NERON_ARCH[:5] + ("--z-re", "inf", "--z-im", "0.1"), "SchemaError", "neron", "--z-re"),
     (NERON_ARCH[:7] + ("--z-im=-inf",), "SchemaError", "neron", "--z-im"),
     (("neron", "--q-re", "nan") + NERON_ARCH[3:], "SchemaError", "neron", "--q-re"),
+    # caught by argparse itself
+    (("ffheight", "--g", "x", "--hnt", "1"), "SchemaError", "cli", "--g"),
+    (NERON_ARCH + ("--terms", "abc"), "SchemaError", "cli", "--terms"),
+    (("moment", "--lattice", "{lattice}", "--grid", "abc"), "SchemaError", "cli", "--grid"),
+    (NERON_ARCH[:7] + ("--z-im", "-inf"), "SchemaError", "cli", "--z-im"),
+    (("moment",), "SchemaError", "cli", "--lattice"),
+    (("moment", "--lattice", "{lattice}", "--grid"), "SchemaError", "cli", "--grid"),
+    (("--format", "xml", "moment", "--lattice", "{lattice}"), "SchemaError", "cli", "--format"),
+    (("moment", "--lattice", "{lattice}", "--bogus"), "SchemaError", "cli", "arguments"),
 ])
 def test_malformed_arguments_exit_2(tmp_path, capsys, argv, error_type, module, path):
     places = write(tmp_path, "places.json", F_PLACES)
-    argv = [a.replace("{places}", places) for a in argv]
+    lattice = write(tmp_path, "a2.json", F_A2)
+    argv = [a.replace("{places}", places).replace("{lattice}", lattice) for a in argv]
     assert_structured_error(*run_cli(capsys, *argv), error_type, module, path)
+
+
+def test_argument_error_honours_csv_format_and_help_still_exits_0(tmp_path, capsys):
+    lattice = write(tmp_path, "a2.json", F_A2)
+    code, out = run_cli(capsys, "--format", "csv", "moment", "--lattice", lattice,
+                        "--grid", "abc")
+    assert code == 2
+    assert out.splitlines()[:4] == ["key,value", "error.message,invalid int value: 'abc'",
+                                    "error.module,cli", "error.path,--grid"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(["moment", "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: tropmoment moment")
+
+
+@pytest.mark.parametrize("places, path", [
+    ({**F_PLACES, "arch": [{"tau_re": 0.1, "tau_im": 1e300}]}, "arch[0].tau_im"),
+    ({**F_PLACES, "arch": [{"tau_re": 0.1, "tau_im": 1e-300}]}, "arch[0].tau_im"),
+    ({**F_PLACES, "nonarch": [{"ord_delta": 100, "log_nv": 1e308}]}, "nonarch[0]"),
+    ({**F_PLACES, "nonarch": [{"ord_delta": 10**400, "log_nv": 1.0}]}, "nonarch[0]"),
+    ({**F_PLACES, "nonarch": [{"ord_delta": 1, "log_nv": 1e308}] * 2}, "nonarch"),
+])
+def test_extreme_finite_place_numbers_exit_2(tmp_path, capsys, places, path):
+    file = write(tmp_path, "places.json", places)
+    code, out = run_cli(capsys, "elliptic-height", "--input", file)
+    assert_structured_error(code, out, "DomainError", "heights", path)
+
+
+@pytest.mark.parametrize("argv, path", [
+    (NERON_ARCH[:5] + ("--z-re", "1e308", "--z-im", "1e308"), "--z-re,--z-im"),
+    (NERON_ARCH[:5] + ("--z-re", "1.7e308", "--z-im", "1.7e308"), "--z-re,--z-im"),
+    (NERON_ARCH[:5] + ("--z-re", "5e-324", "--z-im", "0"), "--z-re,--z-im"),
+    (("neron", "--q-re", "1e-320") + NERON_ARCH[3:], "--q-re,--q-im"),
+    (("neron", "--q-re", "1e308", "--q-im", "1e308") + NERON_ARCH[5:], "--q-re,--q-im"),
+])
+def test_extreme_finite_neron_numbers_exit_2(capsys, argv, path):
+    assert_structured_error(*run_cli(capsys, *argv), "DomainError", "neron", path)
 
 
 @pytest.mark.parametrize("field, text, path", [

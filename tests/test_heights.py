@@ -9,6 +9,7 @@ import pytest
 from tropmoment.heights import (
     KAPPA0,
     EllipticPlaces,
+    FloatRangeError,
     NegativeOrderError,
     NonArchPlace,
     NonPositiveImaginaryPartError,
@@ -224,3 +225,19 @@ def test_height_identity_monotone_in_bad_places():
     rep0, rep1 = height_identity_report(base), height_identity_report(more)
     assert rep1.lhs > rep0.lhs
     assert abs(rep1.residual) < 1e-10
+
+
+@pytest.mark.filterwarnings("ignore:Im tau < 0.1")
+def test_periods_and_places_outside_the_float_range_are_rejected():
+    # |q| = exp(-2 pi Im tau) underflows to 0, or rounds to 1
+    for tau in (1e300j, 200j, 1e-300j, 0.5 + 1e-20j):
+        with pytest.raises(FloatRangeError):
+            log_abs_delta(tau)
+    assert math.isfinite(log_abs_delta(112j).value)
+    with pytest.raises(FloatRangeError):
+        NonArchPlace(ord_delta=100, log_nv=1e308)
+    with pytest.raises(FloatRangeError):
+        NonArchPlace(ord_delta=10**400, log_nv=1.0)
+    big = NonArchPlace(ord_delta=1, log_nv=1e308)
+    with pytest.raises(FloatRangeError, match="nonarch\\[1\\]"):
+        EllipticPlaces(degree=1, nonarch=(big, big), arch=(1j,))

@@ -70,6 +70,26 @@ def test_theta_bad_modulus():
             tate_theta_log_abs(q, -1.0)
 
 
+def test_theta_outside_the_float_range_is_rejected():
+    with pytest.raises(BadModulusError):
+        tate_theta_log_abs(1e-320, 0.5 + 0.1j)  # subnormal |q|
+    with pytest.raises(BadModulusError):
+        tate_theta_log_abs(1e308 + 1e308j, 0.5)  # |q| overflows
+    for z in (5e-324, 1.7e308 + 1.7e308j):  # 1/|z| or |z| overflows
+        with pytest.raises(OutOfRangeError):
+            tate_theta_log_abs(0.1, z)
+    # no factor within the terms gives a tail bound
+    with pytest.raises(OutOfRangeError, match="no tail bound"):
+        tate_theta_log_abs(0.1, 1e308 + 1e308j)
+    with pytest.raises(OutOfRangeError, match="no tail bound"):
+        tate_theta_log_abs(0.5, 5.0, 1)  # |q|^2 |z| >= 1
+    # a lift far from the unit circle is still placed against the divisor,
+    # and still evaluates once the terms reach it
+    with pytest.raises(AtDivisorError, match="q\\^-300"):
+        tate_theta_log_abs(0.1, 1e300 * (1 + 1e-12), 400)
+    assert math.isfinite(tate_theta_log_abs(0.1, 3e300, 400).tail_bound)
+
+
 def test_lambda_periodicity_seeded():
     rng = random.Random(7)
     for _ in range(100):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_pd_gram, random_point
+from conftest import oracle_quadrature, random_pd_gram, random_point
 from tropmoment.lattice import norm_sq, validate
 from tropmoment.polytope import second_moment
 from tropmoment.troptheta import (
@@ -215,3 +215,50 @@ def test_quadrature_matches_exact_for_random_lattices():
 def test_quadrature_rejects_tiny_grid():
     with pytest.raises(ValueError):
         moment_by_quadrature(ID2, 1)
+
+
+def _sheared(gram, shear):
+    """S^T G S: the same lattice in the basis given by the columns of S."""
+    g = len(gram)
+    return [[sum(shear[k][i] * gram[k][l] * shear[l][j]
+                 for k in range(g) for l in range(g)) for j in range(g)]
+            for i in range(g)]
+
+
+A3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+SHEARED_A2 = _sheared([[2, 1], [1, 2]], [[1, 3], [0, 1]])
+SHEARED_A3 = _sheared(A3, [[1, 2, 1], [0, 1, 2], [0, 0, 1]])
+
+
+def test_quadrature_equals_exact_midpoint_sum():
+    # the sweep must reproduce the per-point, per-candidate minimum exactly,
+    # rounded once: on random rational Grams of rank 1 to 3 and on sheared
+    # bases, whose candidate lines cross inside the unit box
+    rng = random.Random(140)
+    cases = [(random_pd_gram(rng, max_rank=3), rng.choice((2, 3, 4, 5, 7)))
+             for _ in range(60)]
+    cases += [(gram, n) for gram in (SHEARED_A2, A3, SHEARED_A3)
+              for n in (2, 3, 6, 7)]
+    cases += [(SHEARED_A2, 24), (SHEARED_A2, 25)]
+    for gram, n in cases:
+        lat = validate(gram)
+        assert moment_by_quadrature(lat, n) == float(oracle_quadrature(gram, n)), (gram, n)
+
+
+def test_quadrature_closed_form_for_diagonal_grams():
+    # on diag(d_1, ..., d_g) the minimum splits per coordinate, and the mean
+    # squared distance of n midpoints to Z is (1/12)(1 - 1/n^2) for even n
+    # and (1/12)(1 + 2/n^2) for odd n
+    def closed_form(trace, n):
+        return trace * F(1, 12) * (1 + F(-1 if n % 2 == 0 else 2, n * n))
+
+    for gram, grids in (
+        ([[F(7, 3)]], (2, 3, 5, 7, 10, 200, 1000)),
+        ([[1, 0], [0, 1]], (2, 3, 5, 7, 10, 200)),
+        ([[F(1, 2), 0], [0, 5]], (2, 3, 5, 7, 10)),
+        ([[3, 0, 0], [0, F(2, 7), 0], [0, 0, 1]], (2, 3, 5, 7, 10)),
+    ):
+        trace = sum(F(gram[i][i]) for i in range(len(gram)))
+        for n in grids:
+            got = moment_by_quadrature(validate(gram), n)
+            assert got == float(closed_form(trace, n)), (gram, n)
