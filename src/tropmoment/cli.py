@@ -8,12 +8,20 @@ machine-readable error object naming the module and offending field path
 is printed instead.  Output is byte-identical for identical inputs and
 seeds; the environment variable TROPMOMENT_TERMS overrides the default
 series length where a truncated product is evaluated.
+
+The argument parser is built on the first call of ``main`` and is the only
+object kept for the life of the process; each command parses into a fresh
+namespace.  What a command derives (a lattice's Voronoi cell, a cell's
+triangulation, a graph's Jacobian and tau) is kept on the object it
+derives from, so it is built once per command and freed with that object
+when the command returns.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -257,7 +265,7 @@ def _cmd_neron(args) -> dict:
         raise DomainError("neron", "--z-re,--z-im", str(exc)) from None
     return {
         "mode": "archimedean",
-        "value": neron.tate_local_height(q, z, terms),
+        "value": neron._local_height(q, z, theta),
         "log_abs_theta": theta.value,
         "theta_tail_bound": theta.tail_bound,
     }
@@ -300,6 +308,7 @@ class _Parser(argparse.ArgumentParser):
         raise formats.SchemaError("cli", "arguments", message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="tropmoment",

@@ -217,11 +217,12 @@ def _cexp_2pii(tau: complex) -> complex:
 
 def arch_local_invariant(tau: complex, n_terms: int = DEFAULT_TERMS) -> float:
     """-(1/24) ( log|delta(tau)| + 6 log(2 Im tau) ); strictly positive."""
-    return _arch_local_invariant(_check_tau(tau), n_terms)
+    tau = _check_tau(tau)
+    return _arch_local_invariant(tau, _log_abs_delta(tau, n_terms).value)
 
 
-def _arch_local_invariant(tau: complex, n_terms: int) -> float:
-    log_delta = _log_abs_delta(tau, n_terms).value
+def _arch_local_invariant(tau: complex, log_delta: float) -> float:
+    """The invariant of a checked period from log|delta(tau)|."""
     return -(log_delta + 6.0 * math.log(2.0 * tau.imag)) / 24.0
 
 
@@ -239,12 +240,20 @@ def faltings_height_elliptic(
 
     Sums are accumulated left to right in input order for reproducibility.
     """
+    return _faltings_height(places, _log_deltas(places, n_terms))
+
+
+def _log_deltas(places: EllipticPlaces, n_terms: int) -> list[float]:
+    """log|delta(tau)| of each archimedean embedding, in input order."""
+    return [_log_abs_delta(tau, n_terms).value for tau in places.arch]
+
+
+def _faltings_height(places: EllipticPlaces, log_deltas: list[float]) -> float:
     nonarch_sum = 0.0
     for place in places.nonarch:
         nonarch_sum += place.ord_delta * place.log_nv
     arch_sum = 0.0
-    for tau in places.arch:
-        log_delta = _log_abs_delta(tau, n_terms).value
+    for tau, log_delta in zip(places.arch, log_deltas):
         arch_sum += (
             12.0 * math.log(2.0 * math.pi)
             + log_delta
@@ -298,7 +307,8 @@ def height_identity_report(
     assembly with h' = 0 and non-archimedean moments ord/12.  The residual
     vanishes up to series truncation and float rounding.
     """
-    lhs = faltings_height_elliptic(places, n_terms)
+    log_deltas = _log_deltas(places, n_terms)
+    lhs = _faltings_height(places, log_deltas)
     nonarch_terms = []
     for place in places.nonarch:
         moment = nonarch_local_invariant(place.ord_delta)
@@ -310,8 +320,8 @@ def height_identity_report(
             }
         )
     arch_terms = []
-    for tau in places.arch:
-        arch_terms.append({"tau": tau, "invariant": _arch_local_invariant(tau, n_terms)})
+    for tau, log_delta in zip(places.arch, log_deltas):
+        arch_terms.append({"tau": tau, "invariant": _arch_local_invariant(tau, log_delta)})
     rhs = height_identity_rhs(
         g=1,
         h_nt_theta=0.0,

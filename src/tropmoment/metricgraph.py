@@ -26,12 +26,17 @@ tree.  Its normalized second moment is basis-independent and satisfies
 the identity I = length/8 - tau/2, which couples this module against the
 lattice/polytope pipeline through two unrelated computations; the
 residual of that identity is exposed here.
+
+Each graph keeps its Jacobian lattice (and through it the lattice's
+Voronoi cell) and its tau at the default base point, vertex 0; both live
+as long as the graph.  tau at any other base point is computed afresh.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import _linalg
 from .lattice import GramLattice
@@ -107,6 +112,14 @@ class MetricGraph:
                     frontier.append(w)
         if len(seen) != self.vertex_count:
             raise DisconnectedGraphError("graph is not connected")
+
+    @cached_property
+    def _tau(self) -> Fraction:
+        return _tau_at(self, 0)
+
+    @cached_property
+    def _jacobian(self) -> GramLattice:
+        return _jacobian_gram(self)
 
 
 def make_graph(vertex_count: int, edges) -> MetricGraph:
@@ -223,7 +236,15 @@ def tau(graph: MetricGraph, q=0) -> Fraction:
     to vertex 0.  A base point interior to an edge is made a node by
     subdividing its edge; the Green's function grounded at q then gives
     every r(p, q) and every Foster coefficient F_e = r(e-, e+) / L_e.
+    The value at vertex 0 is kept on the graph; any other base point is
+    computed afresh, so comparing base points compares independent solves.
     """
+    if isinstance(q, int) and q == 0:
+        return graph._tau
+    return _tau_at(graph, q)
+
+
+def _tau_at(graph: MetricGraph, q) -> Fraction:
     rq = _resolve(graph, q)
     interior = [rq] if rq[0] == "interior" else []
     edges, node_count, ids = _subdivided(graph, interior)
@@ -296,7 +317,12 @@ def cycle_basis(graph: MetricGraph) -> list[list[int]]:
 
 
 def jacobian_gram(graph: MetricGraph) -> GramLattice:
-    """Gram matrix of the cycle lattice with edge-length weights."""
+    """Gram matrix of the cycle lattice with edge-length weights; built
+    once per graph and kept on it, so its Voronoi cell is built once too."""
+    return graph._jacobian
+
+
+def _jacobian_gram(graph: MetricGraph) -> GramLattice:
     basis = cycle_basis(graph)
     b = len(basis)
     if b == 0:

@@ -152,6 +152,12 @@ def tate_local_height(q: complex, z: complex, n_terms: int = DEFAULT_TERMS) -> f
     cancels the quasi-periodicity of theta exactly.
     """
     theta = tate_theta_log_abs(q, z, n_terms)  # validates q and z
+    return _local_height(q, z, theta)
+
+
+def _local_height(q: complex, z: complex, theta: SeriesValue) -> float:
+    """The local height from ``theta = tate_theta_log_abs(q, z, ...)``,
+    whose call has already validated q and z."""
     ell = -math.log(abs(q))
     t = math.log(abs(z)) / math.log(abs(q))
     return (ell / 2.0) * float(b2(t)) - theta.value

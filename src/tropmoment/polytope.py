@@ -32,18 +32,25 @@ follows from the barycentric moments E[t_i t_j] = (1 + delta_ij) /
 ((g+1)(g+2)) on a g-simplex; the origin vertex adds nothing.  Each cell
 is scaled to integers and validated once, and its integer sums are divided
 once, at the end.
+
+Each lattice keeps the cell ``voronoi_cell`` built for it, and each cell
+keeps its star triangulation, so ``volume``, ``second_moment`` and
+``star_triangulation`` of one cell triangulate it once.  Both live as long
+as the object that keeps them; a build that fails, say over VERTEX_BUDGET,
+keeps nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import factorial, gcd, isqrt
 from operator import mul
 
 from . import _linalg
-from .lattice import GramLattice, _covering_box_sq, norm_sq, relevant_vectors
+from .lattice import GramLattice, _covering_box_sq, relevant_vectors
 
 __all__ = [
     "HalfSpace",
@@ -136,6 +143,10 @@ class Polytope:
     def dim(self) -> int:
         return len(self.halfspaces[0].row)
 
+    @cached_property
+    def _star(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        return _star_facet_simplices(self)
+
 
 def _integer_constraints(halfspaces) -> tuple[list[list[int]], list[int]]:
     """Scale each constraint to integers; a positive row scale changes
@@ -211,22 +222,31 @@ def _bits(mask: int):
 
 
 def voronoi_cell(lat: GramLattice) -> Polytope:
-    """H- and V-representation of the Voronoi cell centered at the origin."""
-    g = lat.rank
-    halfspaces = tuple(
-        HalfSpace(
+    """H- and V-representation of the Voronoi cell centered at the origin.
+
+    Built once per lattice and kept on it; a build that fails keeps nothing."""
+    cell = lat.__dict__.get("_cell")
+    if cell is None:
+        cell = _build_cell(lat)
+        object.__setattr__(lat, "_cell", cell)
+    return cell
+
+
+def _build_cell(lat: GramLattice) -> Polytope:
+    halfspaces = []
+    for u in relevant_vectors(lat):
+        au = [sum(map(mul, row, u)) for row in lat._int_gram]  # den G u
+        halfspaces.append(HalfSpace(
             normal=u,
-            row=tuple(Fraction(sum(map(mul, row, u)), lat._den) for row in lat._int_gram),
-            offset=Fraction(norm_sq(lat, u), 2),
-        )
-        for u in relevant_vectors(lat)
-    )
+            row=tuple(Fraction(c, lat._den) for c in au),
+            offset=Fraction(sum(map(mul, u, au)), 2 * lat._den),
+        ))
     a, b = _integer_constraints(halfspaces)
-    verts = _vertices_dd(a, b, g, _certified_box_bound(lat))
-    return Polytope(halfspaces=halfspaces, vertices=tuple(sorted(verts)))
+    verts = _vertices_dd(a, b, lat.rank, _certified_box_bound(lat))
+    return Polytope(halfspaces=tuple(halfspaces), vertices=tuple(sorted(verts)))
 
 
-def _star_facet_simplices(poly: Polytope) -> list[tuple[tuple[int, ...], int]]:
+def _star_facet_simplices(poly: Polytope) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Triangulate every facet: ``(s, |det|)`` for each (g-1)-simplex, where
     ``s`` holds vertex indices and ``det`` is the determinant of their
     integer rows, the scaled volume of the cone over ``s`` from the origin."""
@@ -264,7 +284,7 @@ def _star_facet_simplices(poly: Polytope) -> list[tuple[tuple[int, ...], int]]:
         if not facet or _linalg.affine_rank([points[i] for i in _bits(facet)]) != g - 1:
             raise DegeneratePolytopeError(f"half-space {k} does not support a facet")
         simplices.extend(tri(facet, g - 1))
-    return [(s, abs(_linalg.int_det([points[i] for i in s]))) for s in simplices]
+    return tuple((s, abs(_linalg.int_det([points[i] for i in s]))) for s in simplices)
 
 
 def star_triangulation(poly: Polytope) -> tuple[Simplex, ...]:
@@ -274,7 +294,7 @@ def star_triangulation(poly: Polytope) -> tuple[Simplex, ...]:
     origin = tuple(Fraction(0) for _ in range(g))
     return tuple(
         Simplex(vertices=(origin,) + tuple(poly.vertices[i] for i in s))
-        for s, _ in _star_facet_simplices(poly)
+        for s, _ in poly._star
     )
 
 
@@ -283,7 +303,7 @@ def volume(poly: Polytope) -> Fraction:
     g = poly.dim
     if _linalg.affine_rank(poly._scaled) != g:
         raise DegeneratePolytopeError("polytope is not full-dimensional")
-    total_det = sum(det for _, det in _star_facet_simplices(poly))
+    total_det = sum(det for _, det in poly._star)
     return Fraction(total_det, factorial(g) * poly._den ** g)
 
 
@@ -300,7 +320,7 @@ def second_moment(lat: GramLattice) -> Fraction:
     images = [[sum(r * c for r, c in zip(row, x)) for row in lat._int_gram]
               for x in poly._scaled]
     inner = [[sum(r * c for r, c in zip(x, y)) for y in images] for x in poly._scaled]
-    star = _star_facet_simplices(poly)
+    star = poly._star
     total_det = sum(det for _, det in star)
     total_mom = sum(det * (sum(inner[i][i] for i in s) + sum(inner[i][j] for i in s for j in s))
                     for s, det in star)

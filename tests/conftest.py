@@ -328,6 +328,20 @@ def oracle_tau(graph, q=0):
     return total
 
 
+def count_calls(monkeypatch, module, name) -> list:
+    """Wrap ``module.name`` so each call appends its arguments to the
+    returned list; the wrapper is removed when the test ends."""
+    calls = []
+    func = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return func(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 # ---------------------------------------------------------------------------
 # named graph fixtures
 

@@ -1,16 +1,23 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from tropmoment import polytope
+import tropmoment
+from conftest import count_calls
+from tropmoment import metricgraph, neron, polytope
 from tropmoment.cli import main
 from tropmoment.selftest import run_selftest
 
 F_ID2 = {"rank": 2, "gram": [[1, 0], [0, 1]]}
 F_A2 = {"rank": 2, "gram": [[2, 1], [1, 2]]}
 F_CIRCLE12 = {"vertices": 1, "edges": [{"tail": 0, "head": 0, "length": 12}]}
+F_THETA = {"vertices": 2, "edges": [{"tail": 0, "head": 1, "length": n} for n in (1, 2, 3)]}
 F_PLACES = {"degree": 1, "nonarch": [{"ord_delta": 1, "log_nv": 1.0}],
             "arch": [{"tau_re": 0.1, "tau_im": 1.2}]}
 NERON_ARCH = ("neron", "--q-re", "0.1", "--q-im", "0", "--z-re", "0.5", "--z-im", "0.1")
@@ -92,6 +99,54 @@ def test_graph_circle12(tmp_path, capsys):
     assert payload["betti"] == 1
     assert payload["gram"] == [["12"]]
     assert payload["total_length"] == "12"
+
+
+def test_moment_builds_and_triangulates_its_cell_once(tmp_path, capsys, monkeypatch):
+    dd = count_calls(monkeypatch, polytope, "_vertices_dd")
+    star = count_calls(monkeypatch, polytope, "_star_facet_simplices")
+    path = write(tmp_path, "a2.json", F_A2)
+    code, out = run_cli(capsys, "moment", "--lattice", path)
+    assert code == 0
+    assert json.loads(out)["volume_coord"] == "1"
+    assert (len(dd), len(star)) == (1, 1)
+
+
+def test_graph_builds_one_cell_and_one_green_function(tmp_path, capsys, monkeypatch):
+    dd = count_calls(monkeypatch, polytope, "_vertices_dd")
+    green = count_calls(monkeypatch, metricgraph, "_green")
+    path = write(tmp_path, "theta.json", F_THETA)
+    code, out = run_cli(capsys, "graph", "--input", path)
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["betti"], payload["I"], payload["remarkable_residual"]) == (2, "6/11", "0")
+    assert (len(dd), len(green)) == (1, 1)
+
+
+def _run_alone(*argv) -> str:
+    """stdout of one command in a fresh interpreter."""
+    src = str(Path(tropmoment.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "tropmoment", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    return done.stdout
+
+
+def test_reused_parser_carries_nothing_between_commands(tmp_path, capsys):
+    lattice = write(tmp_path, "a2.json", F_A2)
+    graph = write(tmp_path, "theta.json", F_THETA)
+    commands = [
+        ("--format", "csv", "moment", "--grid", "x"),
+        ("--format", "csv", "moment", "--lattice", lattice),
+        ("moment", "--lattice", lattice),
+        ("graph", "--input", graph),
+    ]
+    outputs = [run_cli(capsys, *argv)[1] for argv in commands]
+    assert outputs == [_run_alone(*argv) for argv in commands]
+    assert outputs[0].startswith("key,value\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: tropmoment" in capsys.readouterr().out
 
 
 def test_theta_value(tmp_path, capsys):
@@ -182,6 +237,14 @@ def test_neron_archimedean(capsys):
     ell = -math.log(0.25)
     expected = (ell / 2) * (1 / 6) - payload["log_abs_theta"]
     assert abs(payload["value"] - expected) < 1e-12
+
+
+def test_neron_archimedean_sums_one_theta_series(capsys, monkeypatch):
+    calls = count_calls(monkeypatch, neron, "tate_theta_log_abs")
+    code, out = run_cli(capsys, *NERON_ARCH)
+    assert code == 0
+    assert len(calls) == 1
+    assert json.loads(out)["value"] == neron.tate_local_height(0.1 + 0j, 0.5 + 0.1j)
 
 
 def test_neron_mode_conflict(capsys):

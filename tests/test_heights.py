@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import count_calls
+from tropmoment import heights
 from tropmoment.heights import (
     KAPPA0,
     EllipticPlaces,
@@ -215,6 +217,21 @@ def test_height_identity_report_examples():
         report = height_identity_report(places)
         assert abs(report.residual) < 1e-10
         assert report.residual == report.lhs - report.rhs
+
+
+def test_height_identity_report_sums_one_q_product_per_embedding(monkeypatch):
+    places = EllipticPlaces(
+        degree=3,
+        nonarch=(NonArchPlace(11, math.log(7)),),
+        arch=(1j, 0.25 + 2j, -0.4 + 0.8j),
+    )
+    calls = count_calls(monkeypatch, heights, "_log_abs_delta")
+    report = height_identity_report(places)
+    assert [args[0] for args in calls] == list(places.arch)
+    # both sides read the same floats as their public forms
+    assert report.lhs == faltings_height_elliptic(places)
+    assert [t["invariant"] for t in report.terms["arch"]] == [
+        arch_local_invariant(tau) for tau in places.arch]
 
 
 def test_height_identity_monotone_in_bad_places():

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     circle,
+    count_calls,
     dumbbell,
     k4,
     named_graphs,
@@ -16,6 +17,7 @@ from conftest import (
     theta_graph,
     two_loops_bridge,
 )
+from tropmoment import metricgraph
 from tropmoment.lattice import validate
 from tropmoment.metricgraph import (
     DisconnectedGraphError,
@@ -139,6 +141,18 @@ def test_tau_base_point_independence():
         interior = GraphPoint(0, g.edges[0].length / 3)
         values.add(tau(g, interior))
         assert len(values) == 1, name
+
+
+def test_tau_at_other_base_points_solves_afresh(monkeypatch):
+    g = k4()
+    expected = tau(g)
+    calls = count_calls(monkeypatch, metricgraph, "_green")
+    base_points = [1, 2, 3, GraphPoint(0, g.edges[0].length / 3), GraphPoint(2, F(1, 5))]
+    for k, q in enumerate(base_points, 1):
+        assert tau(g, q) == expected
+        assert len(calls) == k
+    assert tau(g) == tau(g, 0) == expected
+    assert len(calls) == len(base_points)
 
 
 def _oracle_graphs():

@@ -9,6 +9,7 @@ from conftest import (
     random_connected_multigraph,
     random_pd_gram,
 )
+from tropmoment import polytope
 from tropmoment.lattice import validate
 from tropmoment.metricgraph import cycle_basis, jacobian_gram
 from tropmoment.polytope import (
@@ -16,6 +17,7 @@ from tropmoment.polytope import (
     HalfSpace,
     Polytope,
     Simplex,
+    VertexBudgetError,
     _star_facet_simplices,
     second_moment,
     star_triangulation,
@@ -260,6 +262,19 @@ def test_star_triangulation_rejects_halfspace_without_facet():
     with pytest.raises(DegeneratePolytopeError,
                        match=f"half-space {k} does not support a facet"):
         star_triangulation(half)
+
+
+def test_cell_is_kept_on_its_lattice_only_after_a_build_within_budget(monkeypatch):
+    gram = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+    lat = validate(gram)
+    monkeypatch.setattr(polytope, "VERTEX_BUDGET", 10)
+    with pytest.raises(VertexBudgetError):
+        voronoi_cell(lat)
+    monkeypatch.undo()
+    cell = voronoi_cell(lat)
+    assert (len(cell.halfspaces), len(cell.vertices)) == (12, 14)
+    assert voronoi_cell(lat) is cell
+    assert cell == voronoi_cell(validate(gram)) and cell is not voronoi_cell(validate(gram))
 
 
 def test_halfspace_invariants():
