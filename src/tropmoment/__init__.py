@@ -1,9 +1,10 @@
 """tropmoment: exact desk-scale invariants of tropical abelian varieties,
 metric graphs, and semistable elliptic curve heights.
 
-Everything non-archimedean is exact (``fractions.Fraction`` results; the
-Voronoi cell kernel runs in integers and divides once); archimedean series
-use binary64 floats with reported truncation bounds.
+Everything non-archimedean is exact (``fractions.Fraction`` results; inner
+products, theta values and the Voronoi cell kernel run in integers on one
+integer Gram per lattice and divide once); archimedean series use binary64
+floats with reported truncation bounds.
 """
 
 from .heights import (

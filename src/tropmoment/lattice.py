@@ -4,11 +4,11 @@ A lattice of rank g is presented by a symmetric positive definite Gram
 matrix G with rational entries.  Lattice vectors are integer coordinate
 tuples with respect to the implicit basis, ambient points are rational
 coordinate tuples, and the inner product of ambient points x, y is
-x^T G y, evaluated exactly in ``fractions.Fraction`` arithmetic.
+x^T G y, exact: summed in integers on A below and divided once.
 
-Each lattice also holds G once as integer rows A = den G and their
+Each lattice holds G once as integer rows A = den G and their
 fraction-free LDL (``_linalg.int_ldl``).  Closest-vector queries run a
-Schnorr-Euchner branch and bound on that form in integers, so results
+Schnorr-Euchner branch and bound on the LDL in integers, so results
 (including ties) are certified.  Voronoi relevant vectors are found by
 the classical coset criterion: a nonzero v is relevant iff +-v are the
 unique minimizers of the squared norm in the coset v + 2Y.
@@ -21,6 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import inf
+from operator import mul
 
 from . import _linalg
 
@@ -126,16 +127,16 @@ def _check_point(lat: GramLattice, x) -> tuple[Fraction, ...]:
     return pt
 
 
+def _gram_image(lat: GramLattice, v) -> list[int]:
+    """A v = den G v for an integer vector v."""
+    return [sum(map(mul, row, v)) for row in lat._int_gram]
+
+
 def inner(lat: GramLattice, x, y) -> Fraction:
     """Exact inner product x^T G y of two ambient points."""
-    xs = _check_point(lat, x)
-    ys = _check_point(lat, y)
-    total = Fraction(0)
-    for i, xi in enumerate(xs):
-        if xi:
-            row = lat.gram[i]
-            total += xi * sum(row[j] * ys[j] for j in range(lat.rank))
-    return total
+    xs, mx = _linalg.integer_row(_check_point(lat, x))
+    ys, my = _linalg.integer_row(_check_point(lat, y))
+    return Fraction(sum(map(mul, xs, _gram_image(lat, ys))), lat._den * mx * my)
 
 
 def norm_sq(lat: GramLattice, x) -> Fraction:

@@ -12,7 +12,8 @@ vertex is the same positive combination of the slacks of p and m, both
 >= 0, so it is zero exactly when both are: the new vertex is tight on
 (mask_p & mask_m) | bit k and on nothing else so far.  No vertex is
 converted to Q before the sweep ends.  The sweep may hold at most
-VERTEX_BUDGET vertices at once.
+VERTEX_BUDGET vertices at once; a rank whose 2^g box corners already
+exceed it is refused before the relevant vectors are searched.
 
 Volumes and moments are computed in coordinate Lebesgue measure over a
 star triangulation: origin cone over facet triangulations, each face
@@ -50,7 +51,7 @@ from math import factorial, gcd, isqrt
 from operator import mul
 
 from . import _linalg
-from .lattice import GramLattice, _covering_box_sq, relevant_vectors
+from .lattice import GramLattice, _covering_box_sq, _gram_image, relevant_vectors
 
 __all__ = [
     "HalfSpace",
@@ -233,9 +234,13 @@ def voronoi_cell(lat: GramLattice) -> Polytope:
 
 
 def _build_cell(lat: GramLattice) -> Polytope:
+    if 2**lat.rank > VERTEX_BUDGET:
+        raise VertexBudgetError(
+            f"double description starts from 2^{lat.rank} box corners, "
+            f"more than {VERTEX_BUDGET} live vertices")
     halfspaces = []
     for u in relevant_vectors(lat):
-        au = [sum(map(mul, row, u)) for row in lat._int_gram]  # den G u
+        au = _gram_image(lat, u)
         halfspaces.append(HalfSpace(
             normal=u,
             row=tuple(Fraction(c, lat._den) for c in au),
@@ -317,8 +322,7 @@ def second_moment(lat: GramLattice) -> Fraction:
     """
     poly = voronoi_cell(lat)
     g = lat.rank
-    images = [[sum(r * c for r, c in zip(row, x)) for row in lat._int_gram]
-              for x in poly._scaled]
+    images = [_gram_image(lat, x) for x in poly._scaled]
     inner = [[sum(r * c for r, c in zip(x, y)) for y in images] for x in poly._scaled]
     star = poly._star
     total_det = sum(det for _, det in star)

@@ -25,14 +25,15 @@ import warnings
 from fractions import Fraction
 from itertools import product
 from math import isqrt, prod
+from operator import mul
 
+from . import _linalg
 from .lattice import (
     GramLattice,
     _covering_box_sq,
+    _gram_image,
     closest_vector,
     closest_vectors_all,
-    inner,
-    norm_sq,
     _check_point,
 )
 
@@ -63,8 +64,14 @@ def trop_theta(lat: GramLattice, nu) -> Fraction:
     square gives [u,u]/2 + [u,nu] = ([nu+u, nu+u] - [nu,nu]) / 2.
     """
     nu = _check_point(lat, nu)
-    u = closest_vector(lat, tuple(-c for c in nu))
-    return Fraction(norm_sq(lat, u), 2) + inner(lat, u, nu)
+    return _theta_term(lat, closest_vector(lat, tuple(-c for c in nu)), nu)
+
+
+def _theta_term(lat: GramLattice, u, nu) -> Fraction:
+    """[u,u]/2 + [u,nu] = (m u^T A u + 2 (Au) . s) / (2 den m), nu = s / m."""
+    s, m = _linalg.integer_row(nu)
+    au = _gram_image(lat, u)
+    return Fraction(m * sum(map(mul, u, au)) + 2 * sum(map(mul, au, s)), 2 * lat._den * m)
 
 
 def trop_theta_norm(lat: GramLattice, nu) -> Fraction:
@@ -121,18 +128,12 @@ def functional_equation_residual(lat: GramLattice, nu, u) -> Fraction:
     rational inputs.
     """
     nu = _check_point(lat, nu)
-    uu = tuple(Fraction(c) for c in u)
+    uu = _check_point(lat, u)
     if any(c.denominator != 1 for c in uu):
         raise ValueError(f"lattice vector {tuple(u)!r} has a non-integer entry")
-    if len(uu) != lat.rank:
-        raise ValueError("lattice vector length does not match rank")
+    uu = tuple(c.numerator for c in uu)
     translated = trop_theta(lat, tuple(a + b for a, b in zip(nu, uu)))
-    return (
-        trop_theta(lat, nu)
-        - translated
-        - inner(lat, uu, nu)
-        - Fraction(norm_sq(lat, uu), 2)
-    )
+    return trop_theta(lat, nu) - translated - _theta_term(lat, uu, nu)
 
 
 def torus_reduce(lat: GramLattice, nu) -> tuple[Fraction, ...]:
@@ -173,9 +174,8 @@ def moment_by_quadrature(lat: GramLattice, grid_n: int) -> float:
     # 4n^2 u^T A u less 4n (Au)_i p_i over the other coordinates.
     lines = []
     for u in product(*(range(-r, r + 2) for r in radii)):
-        au = [sum(x * y for x, y in zip(row, u)) for row in a]
-        uau = sum(x * y for x, y in zip(au, u))
-        lines.append((-4 * n * au[last], 4 * n * n * uau,
+        au = _gram_image(lat, u)
+        lines.append((-4 * n * au[last], 4 * n * n * sum(map(mul, au, u)),
                       [4 * n * x for x in au[:last]]))
     lines.sort(key=lambda line: -line[0])  # slopes decreasing
     odd = range(1, 2 * n, 2)

@@ -88,6 +88,19 @@ def test_moment_over_vertex_budget_fails_cleanly(tmp_path, capsys, monkeypatch):
     assert "10" in error["message"]
 
 
+def test_moment_on_a_rank_beyond_the_vertex_budget_fails_before_any_search(
+        tmp_path, capsys, monkeypatch):
+    calls = count_calls(monkeypatch, polytope, "relevant_vectors")
+    path = write(tmp_path, "z17.json", {"rank": 17, "gram": [
+        [int(i == j) for j in range(17)] for i in range(17)]})
+    code, out = run_cli(capsys, "moment", "--lattice", path)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert (error["type"], error["module"], error["path"]) == ("DomainError", "polytope", "--lattice")
+    assert "2^17 box corners" in error["message"]
+    assert calls == []
+
+
 def test_graph_circle12(tmp_path, capsys):
     path = write(tmp_path, "circle12.json", F_CIRCLE12)
     code, out = run_cli(capsys, "graph", "--input", path)

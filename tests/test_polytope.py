@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    count_calls,
     oracle_cell_vertices,
     oracle_star_simplices,
     random_connected_multigraph,
@@ -275,6 +276,23 @@ def test_cell_is_kept_on_its_lattice_only_after_a_build_within_budget(monkeypatc
     assert (len(cell.halfspaces), len(cell.vertices)) == (12, 14)
     assert voronoi_cell(lat) is cell
     assert cell == voronoi_cell(validate(gram)) and cell is not voronoi_cell(validate(gram))
+
+
+def test_rank_whose_box_corners_exceed_the_vertex_budget_is_refused_first(monkeypatch):
+    # double description starts from 2^g box corners: Z^17 holds 131 072
+    # at once, so it is refused before the 2^17 - 1 coset searches
+    calls = count_calls(monkeypatch, polytope, "relevant_vectors")
+    z17 = validate([[int(i == j) for j in range(17)] for i in range(17)])
+    with pytest.raises(VertexBudgetError, match=r"2\^17 box corners"):
+        voronoi_cell(z17)
+    assert calls == [] and "_cell" not in z17.__dict__
+    # at 2^g == VERTEX_BUDGET the sweep runs: Z^2 holds 4 vertices throughout
+    monkeypatch.setattr(polytope, "VERTEX_BUDGET", 4)
+    assert len(voronoi_cell(validate([[1, 0], [0, 1]])).vertices) == 4
+    monkeypatch.setattr(polytope, "VERTEX_BUDGET", 3)
+    with pytest.raises(VertexBudgetError, match=r"2\^2 box corners"):
+        voronoi_cell(validate([[1, 0], [0, 1]]))
+    assert len(calls) == 1
 
 
 def test_halfspace_invariants():

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import oracle_quadrature, random_pd_gram, random_point
-from tropmoment.lattice import norm_sq, validate
+from conftest import oracle_cvp, oracle_qform, oracle_quadrature, random_pd_gram, random_point
+from tropmoment.lattice import DimensionMismatchError, inner, norm_sq, validate
 from tropmoment.polytope import second_moment
 from tropmoment.troptheta import (
     functional_equation_residual,
@@ -103,6 +103,12 @@ def test_functional_equation_rejects_non_integer_shift():
         with pytest.raises(ValueError, match="non-integer"):
             functional_equation_residual(lat, (F(1, 5),), u)
     assert functional_equation_residual(lat, (F(1, 5),), (F(4, 2),)) == 0
+
+
+def test_functional_equation_rejects_wrong_length_shift():
+    for u in ((1, 0, 0), (1,), (F(1, 2), 0, 0)):
+        with pytest.raises(DimensionMismatchError, match=f"length {len(u)}, lattice rank is 2"):
+            functional_equation_residual(A2, (F(1, 3), F(1, 7)), u)
 
 
 def test_functional_equation_seeded():
@@ -262,3 +268,26 @@ def test_quadrature_closed_form_for_diagonal_grams():
         for n in grids:
             got = moment_by_quadrature(validate(gram), n)
             assert got == float(closed_form(trace, n)), (gram, n)
+
+
+def test_integer_form_matches_the_oracle_quadratic_form():
+    # inner and norm_sq by polarization of the plain rational form, and
+    # theta(nu) = (min_u |nu + u|^2 - |nu|^2) / 2 by a box-search CVP, on
+    # random rational Grams of rank 1 to 4 and sheared A3, at points whose
+    # coordinates have denominators up to 997.  The oracle's box grows fast
+    # on skewed rank-4 Grams, so theta is checked at one point per Gram and
+    # the seed is one whose 30 Grams (6 of rank 4) search in a few seconds.
+    rng = random.Random(13)
+    grams = [random_pd_gram(rng, max_rank=4) for _ in range(30)] + [SHEARED_A3] * 4
+    for gram in grams:
+        lat = validate(gram)
+        for k in range(4):
+            x = random_point(rng, lat.rank, den=997)
+            y = random_point(rng, lat.rank, den=rng.choice((1, 2, 12, 997)))
+            qx, qy = oracle_qform(gram, x), oracle_qform(gram, y)
+            xy = oracle_qform(gram, [a + b for a, b in zip(x, y)])
+            assert norm_sq(lat, x) == qx
+            assert inner(lat, x, y) == inner(lat, y, x) == (xy - qx - qy) / 2
+            if k == 0:
+                dist, _ = oracle_cvp(gram, [-c for c in x])
+                assert trop_theta(lat, x) == (dist - qx) / 2, (gram, x)
