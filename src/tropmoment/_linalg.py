@@ -14,7 +14,6 @@ description).  Rational input is scaled to integers first
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 
@@ -159,20 +158,6 @@ def integer_row(values) -> tuple[list[int], int]:
     for v in values:
         den = lcm(den, v.denominator)
     return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def solve(a, rhs) -> list[list[Fraction]] | None:
-    """Exact solutions of a square rational system, one per right-hand side
-    in ``rhs``, or None if singular.  Each augmented row is scaled to
-    integers on its own, which leaves the solutions unchanged."""
-    n = len(a)
-    rows = [integer_row(list(a[r]) + [b[r] for b in rhs])[0] for r in range(n)]
-    res = int_solve([row[:n] for row in rows],
-                    [[row[n + c] for row in rows] for c in range(len(rhs))])
-    if res is None:
-        return None
-    nums, den = res
-    return [[Fraction(x, den) for x in col] for col in nums]
 
 
 def affine_rank(points) -> int:

@@ -35,7 +35,6 @@ from .lattice import LatticeError
 from .metricgraph import (
     DisconnectedGraphError,
     RankZeroError,
-    cycle_basis,
     graph_second_moment,
     jacobian_gram,
     moment_identity_residual,
@@ -183,8 +182,7 @@ def _cmd_theta(args) -> dict:
 
 def _cmd_graph(args) -> dict:
     graph = formats.load_graph(formats.load_json_file(args.input, "metricgraph"))
-    basis = cycle_basis(graph)
-    betti = len(basis)
+    betti = len(graph.edges) - graph.vertex_count + 1  # graphs are connected
     out = {
         "total_length": total_length(graph),
         "tau": tau(graph),

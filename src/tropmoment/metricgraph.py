@@ -3,8 +3,9 @@ cycle-space Gram matrices.
 
 Resistances are computed exactly: edges are subdivided at the interior
 query points, the weighted graph Laplacian (conductance 1/length) is
-grounded at one node q, and one fraction-free solve over Q inverts it.
-The inverse is the Green's function G with r(p, q) = G(p, p) and
+grounded at one node q, scaled to integers row by row, and inverted by
+one fraction-free integer solve: the Green's function G, integer numerators
+over one determinant, with r(p, q) = G(p, p) and
 r(a, b) = G(a, a) + G(b, b) - 2 G(a, b).  The tau invariant is
 
     tau = (1/2) integral of r(x, q) d mu_can(x),
@@ -37,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from . import _linalg
 from .lattice import GramLattice
@@ -140,6 +142,8 @@ def _resolve(graph: MetricGraph, point):
         if not 0 <= point < graph.vertex_count:
             raise ValueError(f"vertex id {point} out of range")
         return ("vertex", point)
+    if not 0 <= point.edge < len(graph.edges):
+        raise ValueError(f"edge index {point.edge} out of range")
     e = graph.edges[point.edge]
     off = Fraction(point.offset)
     if not 0 <= off <= e.length:
@@ -186,33 +190,40 @@ def _subdivided(graph: MetricGraph, interior_points):
     return edges, nodes, ids
 
 
-def _green(edges, node_count: int, ground: int, sources) -> list[list[Fraction]]:
-    """Rows G(s, .) of the Green's function grounded at ``ground``.
+def _green(edges, node_count: int, ground: int, sources) -> tuple[list[list[int]], int]:
+    """Rows G(s, .) of the Green's function grounded at ``ground``, as
+    ``(nums, det)`` with G(s, v) = nums[i][v] / det for the i-th source s.
 
     G(s, v) is the potential at node v when a unit current enters at s and
     leaves at ``ground``: the inverse of the Laplacian (conductance
     1/length) with the ground's row and column deleted, padded with zeros
     at the ground.  Then r(s, ground) = G(s, s) and, for any nodes a, b,
-    r(a, b) = G(a, a) + G(b, b) - 2 G(a, b).  One fraction-free solve
-    covers every source.
+    r(a, b) = G(a, a) + G(b, b) - 2 G(a, b).  Node v's row and right-hand
+    side are scaled to integers by the lcm of the length numerators at v,
+    which leaves G unchanged; one Bareiss pass covers every source.
     """
-    lap = [[Fraction(0)] * node_count for _ in range(node_count)]
+    scale = [1] * node_count
+    for t, h, length in edges:
+        if t != h:
+            scale[t] = lcm(scale[t], length.numerator)
+            scale[h] = lcm(scale[h], length.numerator)
+    lap = [[0] * node_count for _ in range(node_count)]
     for t, h, length in edges:
         if t == h:
             continue
-        c = Fraction(1) / length
-        lap[t][t] += c
-        lap[h][h] += c
-        lap[t][h] -= c
-        lap[h][t] -= c
+        for v, w in ((t, h), (h, t)):
+            c = length.denominator * (scale[v] // length.numerator)
+            lap[v][v] += c
+            lap[v][w] -= c
     del lap[ground]
     for row in lap:
         del row[ground]
     free = [v for v in range(node_count) if v != ground]
-    sol = _linalg.solve(lap, [[int(v == s) for v in free] for s in sources])
+    sol = _linalg.int_solve(lap, [[scale[v] * (v == s) for v in free] for s in sources])
     if sol is None:
         raise DisconnectedGraphError("singular Laplacian: graph not connected")
-    return [x[:ground] + [Fraction(0)] + x[ground:] for x in sol]
+    nums, det = sol
+    return [x[:ground] + [0] + x[ground:] for x in nums], det
 
 
 def effective_resistance(graph: MetricGraph, p, q) -> Fraction:
@@ -225,8 +236,8 @@ def effective_resistance(graph: MetricGraph, p, q) -> Fraction:
     it = iter(ids)
     a = rp[1] if rp[0] == "vertex" else next(it)
     b = rq[1] if rq[0] == "vertex" else next(it)
-    (row,) = _green(edges, node_count, b, [a])
-    return row[a]
+    (row,), det = _green(edges, node_count, b, [a])
+    return Fraction(row[a], det)
 
 
 def tau(graph: MetricGraph, q=0) -> Fraction:
@@ -249,17 +260,20 @@ def _tau_at(graph: MetricGraph, q) -> Fraction:
     interior = [rq] if rq[0] == "interior" else []
     edges, node_count, ids = _subdivided(graph, interior)
     base = rq[1] if rq[0] == "vertex" else ids[0]
-    green = _green(edges, node_count, base, range(node_count))
-    r_base = [green[v][v] for v in range(node_count)]
+    nums, det = _green(edges, node_count, base, range(node_count))
+    diag = [nums[v][v] for v in range(node_count)]  # r(v, base) = diag[v] / det
     valence = [0] * node_count
     total = Fraction(0)
     for t, h, length in edges:
         valence[t] += 1
         valence[h] += 1
-        slack = 1 - (r_base[t] + r_base[h] - 2 * green[t][h]) / length  # 1 - F_e
-        total += slack * ((r_base[t] + r_base[h]) / 2 + length * slack / 6)
-    for v in range(node_count):
-        total += (1 - Fraction(valence[v], 2)) * r_base[v]
+        num, den = length.numerator, length.denominator
+        # With L = num/den and S = diag[t] + diag[h], 1 - F_e = slack / (det num),
+        # so the edge term is slack (3 den S + slack) / (6 num den det^2).
+        pair = diag[t] + diag[h]
+        slack = det * num - den * (pair - 2 * nums[t][h])
+        total += Fraction(slack * (3 * den * pair + slack), 6 * num * den * det * det)
+    total += Fraction(sum((2 - val) * d for val, d in zip(valence, diag)), 2 * det)
     return total / 2
 
 
@@ -324,21 +338,14 @@ def jacobian_gram(graph: MetricGraph) -> GramLattice:
 
 def _jacobian_gram(graph: MetricGraph) -> GramLattice:
     basis = cycle_basis(graph)
-    b = len(basis)
-    if b == 0:
+    if not basis:
         raise RankZeroError("graph is a tree; the cycle lattice is trivial")
-    lengths = [e.length for e in graph.edges]
+    lengths, den = _linalg.integer_row([e.length for e in graph.edges])
     gram = tuple(
-        tuple(
-            sum(
-                (lengths[k] * basis[i][k] * basis[j][k] for k in range(len(lengths))),
-                Fraction(0),
-            )
-            for j in range(b)
-        )
-        for i in range(b)
+        tuple(Fraction(sum(l * x * y for l, x, y in zip(lengths, bi, bj)), den) for bj in basis)
+        for bi in basis
     )
-    return GramLattice(rank=b, gram=gram)
+    return GramLattice(rank=len(basis), gram=gram)
 
 
 def graph_second_moment(graph: MetricGraph) -> Fraction:

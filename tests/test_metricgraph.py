@@ -100,6 +100,18 @@ def test_resistance_zero_iff_same_point():
     assert effective_resistance(g, 0, 1) > 0
 
 
+def test_edge_index_out_of_range_rejected():
+    g = theta_graph(1, 2, 3)
+    for edge in (-1, -3, 3, 7):
+        point = GraphPoint(edge, F(1, 2))
+        with pytest.raises(ValueError, match="edge index .* out of range"):
+            tau(g, point)
+        with pytest.raises(ValueError, match="edge index .* out of range"):
+            effective_resistance(g, point, 0)
+        with pytest.raises(ValueError, match="edge index .* out of range"):
+            effective_resistance(g, 0, GraphPoint(edge, F(0)))
+
+
 def test_resistance_restricted_to_edge_is_quadratic():
     # fit through 0, L/2, L; a fourth sample at L/4 must match
     rng = random.Random(8)
