@@ -2,17 +2,26 @@
 the normalized second moment.
 
 The cell of a Gram lattice G is cut out by one half-space per Voronoi
-relevant vector u:  [u, x] <= [u, u] / 2.  Vertices are recovered exactly
-over Q by one double-description sweep.  It starts from a certified
-bounding box and clips it by each facet a_k . x <= b_k in turn, on
-primitive integer homogeneous vertices (x, w), w > 0, whose slack is
-b_k w - a_k . x.  An edge (p, m) with slacks s_p > 0 > s_m is cut at the
-vertex s_p v_m - s_m v_p, divided by its gcd.  Every earlier slack of that
-vertex is the same positive combination of the slacks of p and m, both
->= 0, so it is zero exactly when both are: the new vertex is tight on
-(mask_p & mask_m) | bit k and on nothing else so far.  No vertex is
-converted to Q before the sweep ends.  The sweep may hold at most
-VERTEX_BUDGET vertices at once; a rank whose 2^g box corners already
+relevant vector u:  [u, x] <= [u, u] / 2.  The relevant vectors come in
+pairs +-u, and the cell is centrally symmetric; every step below uses
+this, in one code path.
+
+Vertices are recovered exactly over Q by one double-description sweep.
+It starts from a certified bounding box and clips it by each facet a_k . x
+<= b_k, on primitive integer homogeneous vertices (x, w), w > 0, whose
+slack is b_k w - a_k . x.  An edge (p, m) with slacks s_p > 0 > s_m is cut
+at the vertex s_p v_m - s_m v_p, divided by its gcd.  Every earlier slack
+of that vertex is the same positive combination of the slacks of p and m,
+both >= 0, so it is zero exactly when both are: the new vertex is tight on
+(mask_p & mask_m) | bit k and on nothing else so far.  The facets of a
+pair +-u are clipped in one step.  The box is symmetric and the facets come
+in pairs, so the polytope before each step is symmetric: the vertices cut
+on -u are the negations of those cut on u, and are tight on the mirror of
+their mask (each facet bit sent to that of its negation, each box side to
+the opposite side).  A vertex is kept when its slacks s on u and
+2 b_k w - s on -u are both >= 0, so the edges are searched once per pair.
+No vertex is converted to Q before the sweep ends.  The sweep may hold at
+most VERTEX_BUDGET vertices at once; a rank whose 2^g box corners already
 exceed it is refused before the relevant vectors are searched.
 
 Volumes and moments are computed in coordinate Lebesgue measure over a
@@ -22,20 +31,25 @@ least, as voronoi_cell sorts them).  Faces are vertex bitmasks, found from
 the vertex-facet incidences alone: the facets of a face F are the
 inclusion-maximal proper, nonempty intersections of F with the facets of
 the cell (Ziegler, Lectures on Polytopes, 2.1), and a d-face with d + 1
-vertices is a simplex.  The metric
+vertices is a simplex.  Only one facet of each pair is triangulated (the
+half star): the one whose normal has a positive first nonzero coordinate.
+The negations of its simplices triangulate the other, with the same
+volumes and, x^T G x being even, the same moments: the sums over the cell
+are twice those over the half star, and the 2 cancels in I.  The metric
 Jacobian sqrt(det G) cancels in the normalized moment, so it never
 appears.  The per-simplex closed form
 
     integral over S of x^T G x  =  vol(S) / ((g+1)(g+2)) *
-        ( sum_i [v_i, v_i]  +  sum_{i,j} [v_i, v_j] )
+        ( sum_i [v_i, v_i]  +  [w, w] ),   w = sum_i v_i,
 
 follows from the barycentric moments E[t_i t_j] = (1 + delta_ij) /
-((g+1)(g+2)) on a g-simplex; the origin vertex adds nothing.  Each cell
-is scaled to integers and validated once, and its integer sums are divided
-once, at the end.
+((g+1)(g+2)) on a g-simplex; the origin vertex adds nothing.  It needs the
+norms of the vertices and one Gram product per simplex, and no table of
+vertex pairs.  Each cell is scaled to integers and validated once, and its
+integer sums are divided once, at the end.
 
 Each lattice keeps the cell ``voronoi_cell`` built for it, and each cell
-keeps its star triangulation, so ``volume``, ``second_moment`` and
+keeps its half star, so ``volume``, ``second_moment`` and
 ``star_triangulation`` of one cell triangulate it once.  Both live as long
 as the object that keeps them; a build that fails, say over VERTEX_BUDGET,
 keeps nothing.
@@ -65,7 +79,7 @@ __all__ = [
     "star_triangulation",
 ]
 
-# Most vertices double description may hold at once (E6 peaks at 269).
+# Most vertices double description may hold at once (E6 peaks at 142, E7 at 632).
 VERTEX_BUDGET = 10**5
 
 
@@ -148,6 +162,15 @@ class Polytope:
     def _star(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         return _star_facet_simplices(self)
 
+    @cached_property
+    def _negation(self) -> tuple[int, ...]:
+        """Index of -v for each vertex v."""
+        index = {x: i for i, x in enumerate(self._scaled)}
+        try:
+            return tuple(index[tuple(-c for c in x)] for x in self._scaled)
+        except KeyError:
+            raise DegeneratePolytopeError("vertex set is not closed under negation") from None
+
 
 def _integer_constraints(halfspaces) -> tuple[list[list[int]], list[int]]:
     """Scale each constraint to integers; a positive row scale changes
@@ -162,14 +185,21 @@ def _certified_box_bound(lat: GramLattice) -> list[int]:
 
 
 def _vertices_dd(a, b, g, box: list[int]) -> set[tuple[Fraction, ...]]:
-    """Double description: clip a certified bounding box by each facet, on
-    primitive integer homogeneous vertices (x, w) with w > 0."""
+    """Double description: clip a certified bounding box by each pair of
+    facets +-u at once, on primitive integer homogeneous vertices (x, w)
+    with w > 0.  The facets must come in pairs: a_k' = -a_k, b_k' = b_k."""
     m = len(a)
     # Constraint rows indexed by bit: 0..m-1 facets, then 2g box rows.
     rows = [list(r) for r in a]
     for i in range(g):
         rows.append([1 if j == i else 0 for j in range(g)])
         rows.append([-1 if j == i else 0 for j in range(g)])
+    # mirror[j]: the bit of the constraint -rows[j] (the facet of -u, or
+    # the opposite side of the box), so -v is tight on mirror(mask of v).
+    index = {tuple(r): k for k, r in enumerate(a)}
+    mirror = [index[tuple(-r for r in row)] for row in a]
+    for i in range(g):
+        mirror += [m + 2 * i + 1, m + 2 * i]
 
     verts: list[tuple[int, ...]] = []
     masks: list[int] = []
@@ -178,15 +208,25 @@ def _vertices_dd(a, b, g, box: list[int]) -> set[tuple[Fraction, ...]]:
         masks.append(sum(1 << (m + 2 * i + c) for i, c in enumerate(corner)))
 
     for k, (row, off) in enumerate(zip(a, b)):
-        bit = 1 << k
-        # slack b_k w - a_k . x as one dot product with (-a_k, b_k)
+        if mirror[k] < k:
+            continue  # clipped together with its pair
+        bit, mirror_bit = 1 << k, 1 << mirror[k]
+        # slack b_k w - a_k . x as one dot product with (-a_k, b_k); the
+        # slack on -u is b_k w + a_k . x = 2 b_k w - s
         h = [-r for r in row] + [off]
         slacks = [sum(map(mul, h, v)) for v in verts]
         pos = [i for i, s in enumerate(slacks) if s > 0]
         neg = [i for i, s in enumerate(slacks) if s < 0]
-        zero = [i for i, s in enumerate(slacks) if s == 0]
-        next_verts = [verts[i] for i in pos] + [verts[i] for i in zero]
-        next_masks = [masks[i] for i in pos] + [masks[i] | bit for i in zero]
+        next_verts: list[tuple[int, ...]] = []
+        next_masks: list[int] = []
+        for v, mask, s in zip(verts, masks, slacks):
+            t = 2 * off * v[g] - s
+            if s >= 0 and t >= 0:
+                next_verts.append(v)
+                next_masks.append(mask | (bit if s == 0 else 0) | (mirror_bit if t == 0 else 0))
+        # The polytope so far is centrally symmetric (the box is, and the
+        # facets come in pairs), so the vertices cut on -u are the negations
+        # of those cut on u; a vertex cut on u has slack 2 b_k w > 0 on -u.
         new: dict[tuple[int, ...], int] = {}
         for ip in pos:
             sp, vp, mp = slacks[ip], verts[ip], masks[ip]
@@ -202,11 +242,12 @@ def _vertices_dd(a, b, g, box: list[int]) -> set[tuple[Fraction, ...]]:
                 v = [sp * cm - sm * cp for cp, cm in zip(vp, verts[im])]
                 d = gcd(*v)
                 new[tuple(c // d for c in v)] = common | bit
-            if len(next_verts) + len(new) > VERTEX_BUDGET:
+            if len(next_verts) + 2 * len(new) > VERTEX_BUDGET:
                 raise VertexBudgetError(
                     f"double description needs more than {VERTEX_BUDGET} live vertices")
-        next_verts.extend(new)
-        next_masks.extend(new.values())
+        for v, mask in new.items():
+            next_verts += [v, tuple(-c for c in v[:g]) + (v[g],)]
+            next_masks += [mask, sum(1 << mirror[j] for j in _bits(mask))]
         verts, masks = next_verts, next_masks
 
     box_bits = ((1 << (2 * g)) - 1) << m
@@ -252,9 +293,11 @@ def _build_cell(lat: GramLattice) -> Polytope:
 
 
 def _star_facet_simplices(poly: Polytope) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Triangulate every facet: ``(s, |det|)`` for each (g-1)-simplex, where
-    ``s`` holds vertex indices and ``det`` is the determinant of their
-    integer rows, the scaled volume of the cone over ``s`` from the origin."""
+    """Triangulate one facet of each pair +-u, the one whose normal has a
+    positive first nonzero coordinate: ``(s, |det|)`` for each (g-1)-simplex,
+    where ``s`` holds vertex indices and ``det`` is the determinant of their
+    integer rows, the scaled volume of the cone over ``s`` from the origin.
+    The other facet of each pair is the negation of its representative."""
     g = poly.dim
     points = poly._scaled
     # Facet k as the bitmask of the vertices tight on half-space k.
@@ -262,6 +305,11 @@ def _star_facet_simplices(poly: Polytope) -> tuple[tuple[tuple[int, ...], int], 
     for i, mask in enumerate(poly._tight_masks):
         for k in _bits(mask):
             facets[k] |= 1 << i
+    for k, facet in enumerate(facets):
+        # affine_rank([]) is 0, so an empty facet must be caught first.
+        if not facet or _linalg.affine_rank([points[i] for i in _bits(facet)]) != g - 1:
+            raise DegeneratePolytopeError(f"half-space {k} does not support a facet")
+    poly._negation  # raises unless the vertex set is closed under negation
     cache: dict[int, list[tuple[int, ...]]] = {}
 
     def tri(face: int, d: int) -> list[tuple[int, ...]]:
@@ -284,22 +332,23 @@ def _star_facet_simplices(poly: Polytope) -> tuple[tuple[tuple[int, ...], int], 
         return out
 
     simplices: list[tuple[int, ...]] = []
-    for k, facet in enumerate(facets):
-        # affine_rank([]) is 0, so an empty facet must be caught first.
-        if not facet or _linalg.affine_rank([points[i] for i in _bits(facet)]) != g - 1:
-            raise DegeneratePolytopeError(f"half-space {k} does not support a facet")
-        simplices.extend(tri(facet, g - 1))
+    for facet, hs in zip(facets, poly.halfspaces):
+        if next(c for c in hs.normal if c) > 0:
+            simplices.extend(tri(facet, g - 1))
     return tuple((s, abs(_linalg.int_det([points[i] for i in s]))) for s in simplices)
 
 
 def star_triangulation(poly: Polytope) -> tuple[Simplex, ...]:
     """Star triangulation of the cell from the origin; origin comes first
-    in every simplex."""
+    in every simplex.  The simplices over the representative facets come
+    first, then their negations in the same order."""
     g = poly.dim
     origin = tuple(Fraction(0) for _ in range(g))
+    half = [s for s, _ in poly._star]
+    neg = poly._negation
     return tuple(
         Simplex(vertices=(origin,) + tuple(poly.vertices[i] for i in s))
-        for s, _ in poly._star
+        for s in half + [tuple(neg[i] for i in s) for s in half]
     )
 
 
@@ -308,7 +357,8 @@ def volume(poly: Polytope) -> Fraction:
     g = poly.dim
     if _linalg.affine_rank(poly._scaled) != g:
         raise DegeneratePolytopeError("polytope is not full-dimensional")
-    total_det = sum(det for _, det in poly._star)
+    # the negated half has the same determinants
+    total_det = 2 * sum(det for _, det in poly._star)
     return Fraction(total_det, factorial(g) * poly._den ** g)
 
 
@@ -322,12 +372,15 @@ def second_moment(lat: GramLattice) -> Fraction:
     """
     poly = voronoi_cell(lat)
     g = lat.rank
-    images = [_gram_image(lat, x) for x in poly._scaled]
-    inner = [[sum(r * c for r, c in zip(x, y)) for y in images] for x in poly._scaled]
-    star = poly._star
-    total_det = sum(det for _, det in star)
-    total_mom = sum(det * (sum(inner[i][i] for i in s) + sum(inner[i][j] for i in s for j in s))
-                    for s, det in star)
+    points = poly._scaled
+    norms = [sum(map(mul, x, _gram_image(lat, x))) for x in points]
+    # The negated half has the same determinants and, [x, x] being even,
+    # the same moments: both sums double, and the ratio does not change.
+    total_det = total_mom = 0
+    for s, det in poly._star:
+        w = list(map(sum, zip(*[points[i] for i in s])))
+        total_det += det
+        total_mom += det * (sum(norms[i] for i in s) + sum(map(mul, w, _gram_image(lat, w))))
     if total_det == 0:
         raise DegeneratePolytopeError("voronoi cell has zero volume")
     return Fraction(total_mom, (g + 1) * (g + 2) * poly._den ** 2 * lat._den * total_det)

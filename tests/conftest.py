@@ -184,12 +184,14 @@ def oracle_affine_rank(points):
     return oracle_rank([[x - y for x, y in zip(p, points[0])] for p in points[1:]])
 
 
-def oracle_star_simplices(poly):
+def oracle_star_simplices(poly, facets=None):
     """Vertex-index sets of the facet simplices of the origin star, by the
     rank-tested face recursion: each face is starred from its
     lexicographically least vertex over its facets, and a facet of a d-face
     F is an intersection of F with a cell facet whose affine rank is d - 1.
-    Tightness is decided from the half-spaces in Fractions."""
+    Tightness is decided from the half-spaces in Fractions.  ``facets``
+    lists the indices of the half-spaces whose facets are triangulated
+    (all of them by default)."""
     points = poly.vertices
     tight = [
         frozenset(i for i, v in enumerate(points)
@@ -219,7 +221,9 @@ def oracle_star_simplices(poly):
             cache[face] = out
         return cache[face]
 
-    return [s for facet in tight for s in tri(facet, poly.dim - 1)]
+    if facets is None:
+        facets = range(len(tight))
+    return [s for k in facets for s in tri(tight[k], poly.dim - 1)]
 
 
 def oracle_shortest(gram):

@@ -111,23 +111,20 @@ def test_second_moment_scaling_law():
         assert second_moment(scaled) == c * second_moment(lat)
 
 
+def _direct_sum(g1, g2):
+    n1, n2 = len(g1), len(g2)
+    return [[g1[i][j] if i < n1 and j < n1 else F(0) for j in range(n1 + n2)]
+            for i in range(n1)] + \
+           [[g2[i - n1][j - n1] if j >= n1 else F(0) for j in range(n1 + n2)]
+            for i in range(n1, n1 + n2)]
+
+
 def test_second_moment_direct_sum():
     rng = random.Random(99)
     for _ in range(8):
         g1 = random_pd_gram(rng, max_rank=2)
         g2 = random_pd_gram(rng, max_rank=2)
-        n1, n2 = len(g1), len(g2)
-        block = [
-            [g1[i][j] if i < n1 and j < n1 else F(0) for j in range(n1 + n2)]
-            for i in range(n1)
-        ] + [
-            [
-                g2[i - n1][j - n1] if i >= n1 and j >= n1 else F(0)
-                for j in range(n1 + n2)
-            ]
-            for i in range(n1, n1 + n2)
-        ]
-        total = second_moment(validate(block))
+        total = second_moment(validate(_direct_sum(g1, g2)))
         assert total == second_moment(validate(g1)) + second_moment(validate(g2))
 
 
@@ -179,7 +176,28 @@ def _sheared(gram, rng):
              for j in range(n)] for i in range(n)]
 
 
+def test_paired_double_description_matches_brute_force_oracle():
+    # clipping by u and -u in one step, on random and sheared Grams up to
+    # rank 5; the 24-cell and five parallel edges have non-simple vertices
+    rng = random.Random(1357)
+    grams = [random_pd_gram(rng, max_rank=4) for _ in range(4)]
+    grams += [_sheared(gram, rng) for gram in (
+        _cartan(4, [(0, 1), (1, 2), (1, 3)]),
+        [[2, 1, 1, 1], [1, 2, 1, 1], [1, 1, 2, 1], [1, 1, 1, 2]],
+        [[int(i == j) for j in range(5)] for i in range(5)],
+        _direct_sum(_cartan(2, [(0, 1)]), [[int(i == j) for j in range(3)] for i in range(3)]),
+        _direct_sum(random_pd_gram(rng, max_rank=2), random_pd_gram(rng, max_rank=3)),
+    )]
+    assert max(len(gram) for gram in grams) == 5
+    for gram in grams:
+        cell = voronoi_cell(validate(gram))
+        normals = [hs.normal for hs in cell.halfspaces]
+        assert set(cell.vertices) == oracle_cell_vertices(gram, normals)
+
+
 def test_star_triangulation_matches_rank_tested_oracle():
+    # the library triangulates and integrates one facet of each pair +-u,
+    # the one whose normal has a positive first nonzero coordinate
     rng = random.Random(2468)
     grams = [_cartan(n, [(i, i + 1) for i in range(n - 1)]) for n in range(2, 7)]
     grams += [[[int(i == j) for j in range(n)] for i in range(n)] for n in range(1, 5)]
@@ -190,8 +208,11 @@ def test_star_triangulation_matches_rank_tested_oracle():
     grams += [random_pd_gram(rng, max_rank=4) for _ in range(6)]
     for gram in grams + _criterion02_grams():
         cell = voronoi_cell(validate(gram))
+        reps = [k for k, hs in enumerate(cell.halfspaces)
+                if next(c for c in hs.normal if c) > 0]
+        assert 2 * len(reps) == len(cell.halfspaces)
         got = sorted(tuple(sorted(s)) for s, _ in _star_facet_simplices(cell))
-        assert got == sorted(tuple(sorted(s)) for s in oracle_star_simplices(cell))
+        assert got == sorted(tuple(sorted(s)) for s in oracle_star_simplices(cell, reps))
 
 
 def test_cell_vertices_minimize_distance_at_themselves():
@@ -265,6 +286,18 @@ def test_star_triangulation_rejects_halfspace_without_facet():
         star_triangulation(half)
 
 
+def test_star_triangulation_rejects_vertex_set_not_closed_under_negation():
+    # the segment [-1/7, 1/2]: both half-spaces support a facet, but the
+    # segment is not symmetric, so a half star and its negation miss it
+    right = next(hs for hs in voronoi_cell(validate([[7]])).halfspaces if hs.normal == (1,))
+    left = HalfSpace(normal=(-1,), row=(F(-7),), offset=F(1))
+    lopsided = Polytope(halfspaces=(right, left), vertices=((F(-1, 7),), (F(1, 2),)))
+    with pytest.raises(DegeneratePolytopeError, match="not closed under negation"):
+        star_triangulation(lopsided)
+    with pytest.raises(DegeneratePolytopeError, match="not closed under negation"):
+        volume(lopsided)
+
+
 def test_cell_is_kept_on_its_lattice_only_after_a_build_within_budget(monkeypatch):
     gram = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
     lat = validate(gram)
@@ -336,7 +369,7 @@ def _check_cell(gram, moment, facets, vertices):
     assert second_moment(lat) == moment
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_gold_root_lattice_a(n):
     a_n = _cartan(n, [(i, i + 1) for i in range(n - 1)])
     _check_cell(a_n, n * (F(1, 12) + F(1, 6 * (n + 1))), n * (n + 1), 2 ** (n + 1) - 2)
@@ -360,3 +393,10 @@ def test_gold_root_lattice_e6():
     # G(E6) = 5 / (56 * 3^(1/6)) (Conway & Sloane, SPLAG ch. 21), and
     # det E6 = 3, so I = g G det^(1/g) = 15/28
     _check_cell(_cartan(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)]), F(15, 28), 72, 54)
+
+
+def test_gold_root_lattice_e7():
+    # G(E7) = 163 / (2016 * 2^(1/7)) (Conway & Sloane, SPLAG ch. 21), and
+    # det E7 = 2, so I = g G det^(1/g) = 163/288
+    e7 = _cartan(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6)])
+    _check_cell(e7, F(163, 288), 126, 632)
