@@ -37,6 +37,7 @@ from .metricgraph import (
     RankZeroError,
     graph_second_moment,
     jacobian_gram,
+    moment_identity_residual,
     tau,
     total_length,
 )
@@ -182,14 +183,12 @@ def _cmd_theta(args) -> dict:
 def _cmd_graph(args) -> dict:
     graph = formats.load_graph(formats.load_json_file(args.input, "metricgraph"))
     betti = len(graph.edges) - graph.vertex_count + 1  # graphs are connected
-    length, tau_0, moment = total_length(graph), tau(graph), graph_second_moment(graph)
     out = {
-        "total_length": length,
-        "tau": tau_0,
+        "total_length": total_length(graph),
+        "tau": tau(graph),
         "betti": betti,
-        "I": moment,
-        # moment_identity_residual, from the values already computed
-        "remarkable_residual": moment - (length / 8 - tau_0 / 2),
+        "I": graph_second_moment(graph),
+        "remarkable_residual": moment_identity_residual(graph),
     }
     if betti > 0:
         out["gram"] = [list(row) for row in jacobian_gram(graph).gram]

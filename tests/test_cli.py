@@ -135,16 +135,6 @@ def test_graph_builds_one_cell_and_one_green_function(tmp_path, capsys, monkeypa
     assert (len(dd), len(green)) == (1, 1)
 
 
-def test_graph_runs_the_moment_sums_once(tmp_path, capsys, monkeypatch):
-    # the residual is formed from I, tau and the length already computed
-    moments = count_calls(monkeypatch, metricgraph, "second_moment")
-    path = write(tmp_path, "theta.json", F_THETA)
-    code, out = run_cli(capsys, "graph", "--input", path)
-    assert code == 0
-    assert json.loads(out)["remarkable_residual"] == "0"
-    assert len(moments) == 1
-
-
 def _run_alone(*argv) -> str:
     """stdout of one command in a fresh interpreter."""
     src = str(Path(tropmoment.__file__).resolve().parent.parent)
