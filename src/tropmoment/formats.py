@@ -67,6 +67,8 @@ def parse_rational(value, module: str, path: str) -> Fraction:
             return Fraction(value)
         except ZeroDivisionError:
             raise ParseError(module, path, "zero denominator") from None
+        except ValueError:  # past the digit limit of int(str)
+            raise ParseError(module, path, "too many digits") from None
     raise ParseError(
         module, path, f"expected int or 'p/q' string, got {type(value).__name__}"
     )

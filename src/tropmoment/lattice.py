@@ -145,9 +145,9 @@ def norm_sq(lat: GramLattice, x) -> Fraction:
 
 
 def _covering_box_sq(lat: GramLattice) -> list[Fraction]:
-    """Squared half-widths (G^-1)_ii * rho^2 of a coordinate box around the
-    Voronoi cell: rho^2 = (g/4) trace(G) bounds the covering radius, and
-    Cauchy-Schwarz gives x_i^2 <= (G^-1)_ii * |x|^2."""
+    """Squared half-widths (G^-1)_ii * rho^2 of the quadrature's candidate box
+    around the Voronoi cell: rho^2 = (g/4) trace(G) bounds the covering
+    radius, and Cauchy-Schwarz gives x_i^2 <= (G^-1)_ii * |x|^2."""
     g = lat.rank
     a = lat._int_gram
     identity = [[int(i == j) for j in range(g)] for i in range(g)]

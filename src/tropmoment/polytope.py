@@ -6,23 +6,26 @@ relevant vector u:  [u, x] <= [u, u] / 2.  The relevant vectors come in
 pairs +-u, and the cell is centrally symmetric; every step below uses
 this, in one code path.
 
-Vertices are recovered exactly over Q by one double-description sweep.
-It starts from a certified bounding box and clips it by each facet a_k . x
-<= b_k, on primitive integer homogeneous vertices (x, w), w > 0, whose
-slack is b_k w - a_k . x.  An edge (p, m) with slacks s_p > 0 > s_m is cut
-at the vertex s_p v_m - s_m v_p, divided by its gcd.  Every earlier slack
-of that vertex is the same positive combination of the slacks of p and m,
-both >= 0, so it is zero exactly when both are: the new vertex is tight on
-(mask_p & mask_m) | bit k and on nothing else so far.  The facets of a
-pair +-u are clipped in one step.  The box is symmetric and the facets come
-in pairs, so the polytope before each step is symmetric: the vertices cut
-on -u are the negations of those cut on u, and are tight on the mirror of
-their mask (each facet bit sent to that of its negation, each box side to
-the opposite side).  A vertex is kept when its slacks s on u and
-2 b_k w - s on -u are both >= 0, so the edges are searched once per pair.
-No vertex is converted to Q before the sweep ends.  The sweep may hold at
-most VERTEX_BUDGET vertices at once; a rank whose 2^g box corners already
-exceed it is refused before the relevant vectors are searched.
+Vertices are recovered exactly over Q by one double-description sweep
+(Fukuda & Prodon 1996).  It starts from the parallelotope cut out by the
+first g pairs of facets, in order, with independent normals (its 2^g
+corners are the signed sums of the columns of A^-1 diag(b) on those facets)
+and clips it by each other facet a_k . x <= b_k, on primitive integer
+homogeneous vertices (x, w), w > 0, whose slack is b_k w - a_k . x.  An
+edge (p, m) with slacks s_p > 0 > s_m is cut at the vertex
+s_p v_m - s_m v_p, divided by its gcd.  Every earlier slack of that vertex
+is the same positive combination of the slacks of p and m, both >= 0, so it
+is zero exactly when both are: the new vertex is tight on
+(mask_p & mask_m) | bit k and on nothing else so far.  The facets of a pair
++-u are clipped in one step.  The start is symmetric and the facets come in
+pairs, so the polytope before each step is symmetric: the vertices cut on
+-u are the negations of those cut on u, and are tight on the mirror of
+their mask (each facet bit sent to that of its negation).  A vertex is kept
+when its slacks s on u and 2 b_k w - s on -u are both >= 0, so the edges
+are searched once per pair.  No vertex is converted to Q before the sweep
+ends.  The sweep may hold at most VERTEX_BUDGET vertices at once; a rank
+whose 2^g start corners already exceed it is refused before the relevant
+vectors are searched.
 
 Volumes and moments are computed in coordinate Lebesgue measure over a
 star triangulation: origin cone over facet triangulations, each face
@@ -61,11 +64,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import factorial, gcd, isqrt
+from math import factorial, gcd
 from operator import mul
 
 from . import _linalg
-from .lattice import GramLattice, _covering_box_sq, _gram_image, relevant_vectors
+from .lattice import GramLattice, _gram_image, relevant_vectors
 
 __all__ = [
     "HalfSpace",
@@ -79,7 +82,7 @@ __all__ = [
     "star_triangulation",
 ]
 
-# Most vertices double description may hold at once (E6 peaks at 142, E7 at 632).
+# Most vertices double description may hold at once (D5 peaks at 54, E6 at 142, E7 at 632).
 VERTEX_BUDGET = 10**5
 
 
@@ -179,37 +182,34 @@ def _integer_constraints(halfspaces) -> tuple[list[list[int]], list[int]]:
     return [row[:-1] for row in rows], [row[-1] for row in rows]
 
 
-def _certified_box_bound(lat: GramLattice) -> list[int]:
-    """Integer coordinate bounds B with Vor(0) strictly inside [-B, B]^g."""
-    return [isqrt(s.numerator // s.denominator) + 1 for s in _covering_box_sq(lat)]
-
-
-def _vertices_dd(a, b, g, box: list[int]) -> set[tuple[Fraction, ...]]:
-    """Double description: clip a certified bounding box by each pair of
-    facets +-u at once, on primitive integer homogeneous vertices (x, w)
-    with w > 0.  The facets must come in pairs: a_k' = -a_k, b_k' = b_k."""
-    m = len(a)
-    # Constraint rows indexed by bit: 0..m-1 facets, then 2g box rows.
-    rows = [list(r) for r in a]
-    for i in range(g):
-        rows.append([1 if j == i else 0 for j in range(g)])
-        rows.append([-1 if j == i else 0 for j in range(g)])
-    # mirror[j]: the bit of the constraint -rows[j] (the facet of -u, or
-    # the opposite side of the box), so -v is tight on mirror(mask of v).
+def _vertices_dd(a, b, g) -> set[tuple[Fraction, ...]]:
+    """Double description from the parallelotope of g independent facet pairs,
+    on primitive integer homogeneous vertices (x, w) with w > 0.  The facets
+    must come in pairs: a_k' = -a_k, b_k' = b_k."""
     index = {tuple(r): k for k, r in enumerate(a)}
+    # mirror[k]: the facet of -u, so -v is tight on mirror(mask of v).
     mirror = [index[tuple(-r for r in row)] for row in a]
-    for i in range(g):
-        mirror += [m + 2 * i + 1, m + 2 * i]
-
+    start: list[int] = []
+    for k, row in enumerate(a):
+        if mirror[k] > k and _linalg.int_rank([a[j] for j in start] + [row]) > len(start):
+            start.append(k)
+            if len(start) == g:
+                break
+    # Column j solves a_start x = b_k e_j, k = start[j]; the corner of signs e
+    # is their e-signed sum, tight on facet k or on its mirror as e_j is + or -.
+    rhs = [[b[k] if i == j else 0 for i in range(g)] for j, k in enumerate(start)]
+    cols, det = _linalg.int_solve([a[k] for k in start], rhs)
     verts: list[tuple[int, ...]] = []
     masks: list[int] = []
-    for corner in product((0, 1), repeat=g):
-        verts.append(tuple(-box[i] if c else box[i] for i, c in enumerate(corner)) + (1,))
-        masks.append(sum(1 << (m + 2 * i + c) for i, c in enumerate(corner)))
+    for signs in product((1, -1), repeat=g):
+        v = [sum(e * col[i] for e, col in zip(signs, cols)) for i in range(g)] + [det]
+        d = gcd(*v)
+        verts.append(tuple(c // d for c in v))
+        masks.append(sum(1 << (k if e > 0 else mirror[k]) for e, k in zip(signs, start)))
 
     for k, (row, off) in enumerate(zip(a, b)):
-        if mirror[k] < k:
-            continue  # clipped together with its pair
+        if mirror[k] < k or k in start:
+            continue  # clipped together with its pair, or a start pair
         bit, mirror_bit = 1 << k, 1 << mirror[k]
         # slack b_k w - a_k . x as one dot product with (-a_k, b_k); the
         # slack on -u is b_k w + a_k . x = 2 b_k w - s
@@ -224,7 +224,7 @@ def _vertices_dd(a, b, g, box: list[int]) -> set[tuple[Fraction, ...]]:
             if s >= 0 and t >= 0:
                 next_verts.append(v)
                 next_masks.append(mask | (bit if s == 0 else 0) | (mirror_bit if t == 0 else 0))
-        # The polytope so far is centrally symmetric (the box is, and the
+        # The polytope so far is centrally symmetric (the start is, and the
         # facets come in pairs), so the vertices cut on -u are the negations
         # of those cut on u; a vertex cut on u has slack 2 b_k w > 0 on -u.
         new: dict[tuple[int, ...], int] = {}
@@ -236,7 +236,7 @@ def _vertices_dd(a, b, g, box: list[int]) -> set[tuple[Fraction, ...]]:
                     continue
                 # The common rows vanish on p - m != 0, so their rank is at
                 # most g - 1; for g <= 2 it is then exactly g - 1.
-                if g > 2 and _linalg.int_rank([rows[j] for j in _bits(common)]) != g - 1:
+                if g > 2 and _linalg.int_rank([a[j] for j in _bits(common)]) != g - 1:
                     continue
                 sm = slacks[im]
                 v = [sp * cm - sm * cp for cp, cm in zip(vp, verts[im])]
@@ -249,10 +249,6 @@ def _vertices_dd(a, b, g, box: list[int]) -> set[tuple[Fraction, ...]]:
             next_verts += [v, tuple(-c for c in v[:g]) + (v[g],)]
             next_masks += [mask, sum(1 << mirror[j] for j in _bits(mask))]
         verts, masks = next_verts, next_masks
-
-    box_bits = ((1 << (2 * g)) - 1) << m
-    if any(mask & box_bits for mask in masks):
-        raise RuntimeError("bounding box was not certified; a cell vertex touched it")
     return {tuple(Fraction(c, v[g]) for c in v[:g]) for v in verts}
 
 
@@ -288,7 +284,7 @@ def _build_cell(lat: GramLattice) -> Polytope:
             offset=Fraction(sum(map(mul, u, au)), 2 * lat._den),
         ))
     a, b = _integer_constraints(halfspaces)
-    verts = _vertices_dd(a, b, lat.rank, _certified_box_bound(lat))
+    verts = _vertices_dd(a, b, lat.rank)
     return Polytope(halfspaces=tuple(halfspaces), vertices=tuple(sorted(verts)))
 
 

@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the package's linear algebra and
 enumeration internals: quadratic forms are evaluated directly, inverses
 come from a local Gaussian elimination, and search boxes are certified by
-the Cauchy-Schwarz bound x_i^2 <= (G^-1)_ii * |x|_G^2.
+the Cauchy-Schwarz bound x_i^2 <= (G^-1)_ii * |x|_G^2, sized in the
+closest-vector oracle from a local nearest-plane point.
 """
 
 from __future__ import annotations
@@ -67,14 +68,34 @@ def _box_ranges(gram, point, dist_sq):
     return ranges
 
 
-def oracle_cvp(gram, point):
-    """All closest lattice vectors to ``point`` by certified box search."""
+def oracle_nearest_plane(gram, point):
+    """Babai's nearest-plane lattice vector for ``point``, from a
+    Gram-Schmidt of the basis in Fractions: mu[i][j] = [b_i, b_j*] / B_j
+    and B_j = [b_j*, b_j*]."""
     g = len(gram)
+    gram = [[Fraction(x) for x in row] for row in gram]
+    mu = [[Fraction(0)] * g for _ in range(g)]
+    b = []
+    for i in range(g):
+        for j in range(i):
+            mu[i][j] = (gram[i][j] - sum(mu[j][k] * mu[i][k] * b[k] for k in range(j))) / b[j]
+        b.append(gram[i][i] - sum(mu[i][k] ** 2 * b[k] for k in range(i)))
+    # Peel off b_i* components from the last: the residual sum_j c_j b_j has
+    # c_i + sum_{j>i} c_j mu[j][i] along b_i*.
+    c = [Fraction(x) for x in point]
+    u = [0] * g
+    for i in reversed(range(g)):
+        u[i] = round(c[i] + sum(c[j] * mu[j][i] for j in range(i + 1, g)))
+        c[i] -= u[i]
+    return u
+
+
+def oracle_cvp(gram, point):
+    """All closest lattice vectors to ``point`` by certified box search; the
+    box holds every vector no farther than the nearest-plane point."""
     point = [Fraction(c) for c in point]
-    rounded = tuple(
-        (2 * p.numerator + p.denominator) // (2 * p.denominator) for p in point
-    )
-    d0 = oracle_qform(gram, [p - r for p, r in zip(point, rounded)])
+    start = oracle_nearest_plane(gram, point)
+    d0 = oracle_qform(gram, [p - r for p, r in zip(point, start)])
     best, sols = None, []
     for u in product(*_box_ranges(gram, point, d0)):
         d = oracle_qform(gram, [p - c for p, c in zip(point, u)])

@@ -21,6 +21,8 @@ F_THETA = {"vertices": 2, "edges": [{"tail": 0, "head": 1, "length": n} for n in
 F_PLACES = {"degree": 1, "nonarch": [{"ord_delta": 1, "log_nv": 1.0}],
             "arch": [{"tau_re": 0.1, "tau_im": 1.2}]}
 NERON_ARCH = ("neron", "--q-re", "0.1", "--q-im", "0", "--z-re", "0.5", "--z-im", "0.1")
+# past Python's 4300-digit limit on int(str)
+HUGE = "1" * 5000
 
 
 def run_cli(capsys, *argv):
@@ -279,6 +281,14 @@ def test_invalid_json_file(tmp_path, capsys):
     assert err["module"] == "lattice"
 
 
+def test_oversized_rational_in_a_lattice_file_is_a_parse_error(tmp_path, capsys):
+    path = write(tmp_path, "huge.json", {"rank": 2, "gram": [["2", "1"], ["1", HUGE]]})
+    for command in ("moment", "voronoi"):
+        code, out = run_cli(capsys, command, "--lattice", path)
+        assert_structured_error(code, out, "ParseError", "lattice", "gram[1][1]")
+        assert json.loads(out)["error"]["message"] == "too many digits"
+
+
 def test_schema_error_names_path(tmp_path, capsys):
     path = write(tmp_path, "bad.json", {"rank": 2, "gram": [[1, 0]]})
     code, out = run_cli(capsys, "moment", "--lattice", str(path))
@@ -389,6 +399,10 @@ def assert_structured_error(code, out, error_type, module, path):
     (("moment", "--lattice", "{lattice}", "--grid"), "SchemaError", "cli", "--grid"),
     (("--format", "xml", "moment", "--lattice", "{lattice}"), "SchemaError", "cli", "--format"),
     (("moment", "--lattice", "{lattice}", "--bogus"), "SchemaError", "cli", "arguments"),
+    (("ffheight", "--g", "1", "--hnt", HUGE), "ParseError", "heights", "--hnt"),
+    (("neron", "--ell", HUGE, "--nu", "1"), "ParseError", "neron", "--ell"),
+    (("theta", "--lattice", "{lattice}", "--point", f"{HUGE},0"),
+     "ParseError", "troptheta", "--point[0]"),
 ])
 def test_malformed_arguments_exit_2(tmp_path, capsys, argv, error_type, module, path):
     places = write(tmp_path, "places.json", F_PLACES)

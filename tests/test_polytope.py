@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     count_calls,
     oracle_cell_vertices,
+    oracle_rank,
     oracle_star_simplices,
     random_connected_multigraph,
     random_pd_gram,
@@ -305,7 +306,7 @@ def test_cell_is_kept_on_its_lattice_only_after_a_build_within_budget(monkeypatc
 
 
 def test_rank_whose_box_corners_exceed_the_vertex_budget_is_refused_first(monkeypatch):
-    # double description starts from 2^g box corners: Z^17 holds 131 072
+    # double description starts from 2^g corners: Z^17 holds 131 072
     # at once, so it is refused before the 2^17 - 1 coset searches
     calls = count_calls(monkeypatch, polytope, "relevant_vectors")
     z17 = validate([[int(i == j) for j in range(17)] for i in range(17)])
@@ -393,3 +394,31 @@ def test_gold_root_lattice_e7():
     # det E7 = 2, so I = g G det^(1/g) = 163/288
     e7 = _cartan(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6)])
     _check_cell(e7, F(163, 288), 126, 632)
+
+
+@pytest.mark.parametrize("gram, dependent_start", [
+    ([[7]], False),
+    # the six pairs of A3 are the edges of K4, and a triangle of them is
+    # dependent: the start must skip its third pair
+    ([[2, 1, 1], [1, 2, 1], [1, 1, 2]], True),
+    (_sheared(_direct_sum(_cartan(2, [(0, 1)]), [[int(i == j) for j in range(3)]
+                                                  for i in range(3)]), random.Random(97)), True),
+])
+def test_cell_vertices_do_not_depend_on_the_start(gram, dependent_start):
+    # the start is the first g pairs, in facet order, with independent normals
+    cell = voronoi_cell(validate(gram))
+    expected = oracle_cell_vertices(gram, [hs.normal for hs in cell.halfspaces])
+    assert set(cell.vertices) == expected
+    a, b = polytope._integer_constraints(cell.halfspaces)
+    g = len(gram)
+    rng = random.Random(31)
+    skipped = False
+    for _ in range(12):
+        order = list(range(len(a)))
+        rng.shuffle(order)
+        # the normal of each pair in order of first appearance
+        firsts = list({frozenset((tuple(a[k]), tuple(-c for c in a[k]))): a[k]
+                       for k in order}.values())
+        skipped |= oracle_rank(firsts[:g]) < g
+        assert polytope._vertices_dd([a[k] for k in order], [b[k] for k in order], g) == expected
+    assert skipped == dependent_start
