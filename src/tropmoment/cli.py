@@ -88,7 +88,10 @@ def _flatten(value, prefix, rows):
         rows.append((prefix, value))
 
 
-def _emit(payload: dict, fmt: str) -> None:
+def _render(payload: dict, fmt: str) -> str:
+    """The report as one string.  A number past Python's 4300-digit limit
+    on int-to-string conversion raises ValueError here, before anything
+    is written."""
     payload = _jsonable(payload)
     if fmt == "csv":
         rows: list[tuple[str, object]] = []
@@ -98,9 +101,8 @@ def _emit(payload: dict, fmt: str) -> None:
         writer.writerow(["key", "value"])
         for key, value in rows:
             writer.writerow([key, json.dumps(value) if value is None else value])
-        sys.stdout.write(buf.getvalue())
-    else:
-        sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+        return buf.getvalue()
+    return json.dumps(payload, sort_keys=True) + "\n"
 
 
 def _default_terms(args) -> int:
@@ -381,7 +383,7 @@ def main(argv=None) -> int:
         _build_parser().parse_args(argv, args)
         if args.command == "selftest":
             payload, status = _cmd_selftest(args)
-            _emit(payload, args.format)
+            sys.stdout.write(_render(payload, args.format))
             return status
         module, handler = _COMMANDS[args.command]
         try:
@@ -391,8 +393,12 @@ def main(argv=None) -> int:
         except VertexBudgetError as exc:
             path = "--lattice" if hasattr(args, "lattice") else "--input"
             raise DomainError("polytope", path, str(exc)) from None
+        try:
+            text = _render(payload, args.format)
+        except ValueError:
+            raise DomainError(module, "output", "result has too many digits to write") from None
     except FormatError as exc:
-        _emit(
+        sys.stdout.write(_render(
             {
                 "error": {
                     "type": type(exc).__name__,
@@ -402,9 +408,9 @@ def main(argv=None) -> int:
                 }
             },
             args.format,
-        )
+        ))
         return 2
-    _emit(payload, args.format)
+    sys.stdout.write(text)
     return 0
 
 

@@ -16,7 +16,9 @@ each vertex p and density (1 - F_e)/L_e on each edge e, with Foster
 coefficient F_e = r(e-, e+)/L_e.  On an edge, r(., q) is the linear
 interpolation of its endpoint values plus (1 - F_e) t (L_e - t)/L_e, so
 the edge contributes (1 - F_e)((r(e-,q) + r(e+,q))/2 + L_e (1 - F_e)/6).
-The result does not depend on the base point q.
+The result does not depend on the base point q.  ``_network`` is the only
+place where query points become nodes: it validates each point and cuts
+the edges at the interior ones.
 
 The cycle space of the graph carries the Gram matrix
 
@@ -121,7 +123,15 @@ class MetricGraph:
 
     @cached_property
     def _jacobian(self) -> GramLattice:
-        return _jacobian_gram(self)
+        basis = cycle_basis(self)
+        if not basis:
+            raise RankZeroError("graph is a tree; the cycle lattice is trivial")
+        lengths, den = _linalg.integer_row([e.length for e in self.edges])
+        gram = tuple(
+            tuple(Fraction(sum(l * x * y for l, x, y in zip(lengths, bi, bj)), den) for bj in basis)
+            for bi in basis
+        )
+        return GramLattice(rank=len(basis), gram=gram)
 
 
 def make_graph(vertex_count: int, edges) -> MetricGraph:
@@ -136,39 +146,36 @@ def total_length(graph: MetricGraph) -> Fraction:
     return sum((e.length for e in graph.edges), Fraction(0))
 
 
-def _resolve(graph: MetricGraph, point):
-    """Normalize a point argument to ('vertex', id) or ('interior', edge, offset)."""
-    if isinstance(point, int):
-        if not 0 <= point < graph.vertex_count:
-            raise ValueError(f"vertex id {point} out of range")
-        return ("vertex", point)
-    if not 0 <= point.edge < len(graph.edges):
-        raise ValueError(f"edge index {point.edge} out of range")
-    e = graph.edges[point.edge]
-    off = Fraction(point.offset)
-    if not 0 <= off <= e.length:
-        raise ValueError("offset is outside the edge")
-    if off == 0:
-        return ("vertex", e.tail)
-    if off == e.length:
-        return ("vertex", e.head)
-    return ("interior", point.edge, off)
+def _network(graph: MetricGraph, points):
+    """The graph with its edges cut at the given points (vertex ids or
+    GraphPoints), as (edge triples, node count, node id of each point).
 
-
-def _subdivided(graph: MetricGraph, interior_points):
-    """Subdivide edges at the given interior points.
-
-    Returns (edge triples, node count, node id of each point).  Points on
-    the same edge are handled by chained subdivision; coincident points
-    share a node.
+    A point at offset 0 or at the edge's length is that endpoint, and
+    points at the same place share one node.  New nodes are numbered after
+    the vertices in edge order, then offset order; uncut edges pass
+    through as they are.
     """
-    cuts: dict[int, list[Fraction]] = {}
-    for _, e, off in interior_points:
-        cuts.setdefault(e, [])
-        if off not in cuts[e]:
-            cuts[e].append(off)
-    for offs in cuts.values():
-        offs.sort()
+    ids: list = []
+    cuts: dict[int, set[Fraction]] = {}
+    for point in points:
+        if isinstance(point, int):
+            if not 0 <= point < graph.vertex_count:
+                raise ValueError(f"vertex id {point} out of range")
+            ids.append(point)
+            continue
+        if not 0 <= point.edge < len(graph.edges):
+            raise ValueError(f"edge index {point.edge} out of range")
+        e = graph.edges[point.edge]
+        off = Fraction(point.offset)
+        if not 0 <= off <= e.length:
+            raise ValueError("offset is outside the edge")
+        if off == 0:
+            ids.append(e.tail)
+        elif off == e.length:
+            ids.append(e.head)
+        else:
+            cuts.setdefault(point.edge, set()).add(off)
+            ids.append((point.edge, off))
     nodes = graph.vertex_count
     edges: list[tuple[int, int, Fraction]] = []
     node_of: dict[tuple[int, Fraction], int] = {}
@@ -176,18 +183,14 @@ def _subdivided(graph: MetricGraph, interior_points):
         if idx not in cuts:
             edges.append((e.tail, e.head, e.length))
             continue
-        prev_node = e.tail
-        prev_off = Fraction(0)
-        for off in cuts[idx]:
-            node_of[(idx, off)] = nodes
+        prev_node, prev_off = e.tail, Fraction(0)
+        for off in sorted(cuts[idx]):
+            node_of[idx, off] = nodes
             edges.append((prev_node, nodes, off - prev_off))
             prev_node, prev_off = nodes, off
             nodes += 1
         edges.append((prev_node, e.head, e.length - prev_off))
-    ids = []
-    for kind, e, off in interior_points:
-        ids.append(node_of[(e, off)])
-    return edges, nodes, ids
+    return edges, nodes, [node_of[x] if isinstance(x, tuple) else x for x in ids]
 
 
 def _green(edges, node_count: int, ground: int, sources) -> tuple[list[list[int]], int]:
@@ -228,14 +231,9 @@ def _green(edges, node_count: int, ground: int, sources) -> tuple[list[list[int]
 
 def effective_resistance(graph: MetricGraph, p, q) -> Fraction:
     """Effective resistance between two points (vertex ids or GraphPoints)."""
-    rp, rq = _resolve(graph, p), _resolve(graph, q)
-    if rp == rq:
+    edges, node_count, (a, b) = _network(graph, [p, q])
+    if a == b:
         return Fraction(0)
-    interior = [x for x in (rp, rq) if x[0] == "interior"]
-    edges, node_count, ids = _subdivided(graph, interior)
-    it = iter(ids)
-    a = rp[1] if rp[0] == "vertex" else next(it)
-    b = rq[1] if rq[0] == "vertex" else next(it)
     (row,), det = _green(edges, node_count, b, [a])
     return Fraction(row[a], det)
 
@@ -256,10 +254,7 @@ def tau(graph: MetricGraph, q=0) -> Fraction:
 
 
 def _tau_at(graph: MetricGraph, q) -> Fraction:
-    rq = _resolve(graph, q)
-    interior = [rq] if rq[0] == "interior" else []
-    edges, node_count, ids = _subdivided(graph, interior)
-    base = rq[1] if rq[0] == "vertex" else ids[0]
+    edges, node_count, (base,) = _network(graph, [q])
     nums, det = _green(edges, node_count, base, range(node_count))
     diag = [nums[v][v] for v in range(node_count)]  # r(v, base) = diag[v] / det
     valence = [0] * node_count
@@ -280,53 +275,31 @@ def _tau_at(graph: MetricGraph, q) -> Fraction:
 def cycle_basis(graph: MetricGraph) -> list[list[int]]:
     """Integral cycle basis from the DFS spanning tree (lowest edge index
     wins ties); one coefficient vector per independent cycle."""
-    n = graph.vertex_count
-    incident: dict[int, list[tuple[int, int]]] = {v: [] for v in range(n)}
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(graph.vertex_count)]
     for idx, e in enumerate(graph.edges):
         incident[e.tail].append((idx, e.head))
         if e.head != e.tail:
             incident[e.head].append((idx, e.tail))
-    for v in incident:
-        incident[v].sort()
-
-    parent: dict[int, tuple[int, int, int]] = {}  # v -> (edge, sign, parent vertex)
-    visited = {0}
+    # path[v]: the signed tree path from the root 0 to v, as edge coefficients
+    path = {0: [0] * len(graph.edges)}
     tree_edges: set[int] = set()
     stack = [0]
     while stack:
         v = stack.pop()
         # reversed push so the lowest edge index is explored first
         for idx, w in reversed(incident[v]):
-            if w not in visited:
-                visited.add(w)
-                e = graph.edges[idx]
-                sign = 1 if (e.tail == v and e.head == w) else -1
-                parent[w] = (idx, sign, v)
+            if w not in path:
+                path[w] = path[v][:]
+                path[w][idx] = 1 if graph.edges[idx].tail == v else -1
                 tree_edges.add(idx)
                 stack.append(w)
-
-    def chain(v: int) -> dict[int, int]:
-        """Signed tree path from the root to v."""
-        coeffs: dict[int, int] = {}
-        while v != 0:
-            idx, sign, up = parent[v]
-            coeffs[idx] = coeffs.get(idx, 0) + sign
-            v = up
-        return coeffs
-
     basis: list[list[int]] = []
     for idx, e in enumerate(graph.edges):
-        if idx in tree_edges:
-            continue
-        coeffs = {idx: 1}
-        if e.tail != e.head:
-            # close up: travel tail -> head along e, head -> tail in the tree
-            for j, c in chain(e.head).items():
-                coeffs[j] = coeffs.get(j, 0) - c
-            for j, c in chain(e.tail).items():
-                coeffs[j] = coeffs.get(j, 0) + c
-        vec = [coeffs.get(j, 0) for j in range(len(graph.edges))]
-        basis.append(vec)
+        if idx not in tree_edges:
+            # along e from tail to head, then back to the tail in the tree
+            vec = [x - y for x, y in zip(path[e.tail], path[e.head])]
+            vec[idx] += 1
+            basis.append(vec)
     return basis
 
 
@@ -334,18 +307,6 @@ def jacobian_gram(graph: MetricGraph) -> GramLattice:
     """Gram matrix of the cycle lattice with edge-length weights; built
     once per graph and kept on it, so its Voronoi cell is built once too."""
     return graph._jacobian
-
-
-def _jacobian_gram(graph: MetricGraph) -> GramLattice:
-    basis = cycle_basis(graph)
-    if not basis:
-        raise RankZeroError("graph is a tree; the cycle lattice is trivial")
-    lengths, den = _linalg.integer_row([e.length for e in graph.edges])
-    gram = tuple(
-        tuple(Fraction(sum(l * x * y for l, x, y in zip(lengths, bi, bj)), den) for bj in basis)
-        for bi in basis
-    )
-    return GramLattice(rank=len(basis), gram=gram)
 
 
 def graph_second_moment(graph: MetricGraph) -> Fraction:

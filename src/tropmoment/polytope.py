@@ -273,7 +273,7 @@ def voronoi_cell(lat: GramLattice) -> Polytope:
 def _build_cell(lat: GramLattice) -> Polytope:
     if 2**lat.rank > VERTEX_BUDGET:
         raise VertexBudgetError(
-            f"double description starts from 2^{lat.rank} box corners, "
+            f"double description starts from 2^{lat.rank} start corners, "
             f"more than {VERTEX_BUDGET} live vertices")
     halfspaces = []
     for u in relevant_vectors(lat):

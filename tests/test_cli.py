@@ -99,7 +99,7 @@ def test_moment_on_a_rank_beyond_the_vertex_budget_fails_before_any_search(
     assert code == 2
     error = json.loads(out)["error"]
     assert (error["type"], error["module"], error["path"]) == ("DomainError", "polytope", "--lattice")
-    assert "2^17 box corners" in error["message"]
+    assert "2^17 start corners" in error["message"]
     assert calls == []
 
 
@@ -287,6 +287,21 @@ def test_oversized_rational_in_a_lattice_file_is_a_parse_error(tmp_path, capsys)
         code, out = run_cli(capsys, command, "--lattice", path)
         assert_structured_error(code, out, "ParseError", "lattice", "gram[1][1]")
         assert json.loads(out)["error"]["message"] == "too many digits"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_result_past_the_digit_limit_is_a_domain_error(tmp_path, capsys, fmt):
+    # the point parses (3000 digits), but theta's value has about twice as many
+    lattice = write(tmp_path, "z.json", {"rank": 1, "gram": [[2]]})
+    code, out = run_cli(capsys, "--format", fmt, "theta", "--lattice", lattice,
+                        "--point", "1" * 3000 + "/7")
+    assert code == 2
+    if fmt == "json":
+        assert_structured_error(code, out, "DomainError", "troptheta", "output")
+    else:
+        assert out.splitlines() == [
+            "key,value", "error.message,result has too many digits to write",
+            "error.module,troptheta", "error.path,output", "error.type,DomainError"]
 
 
 def test_schema_error_names_path(tmp_path, capsys):

@@ -191,6 +191,19 @@ def test_effective_resistance_matches_oracle():
                 assert effective_resistance(g, p, q) == oracle_resistance(g, p, q)
 
 
+def test_endpoints_and_coincident_points_share_a_node():
+    for g in _oracle_graphs():
+        for idx, e in enumerate(g.edges):
+            start, end = GraphPoint(idx, F(0)), GraphPoint(idx, e.length)
+            assert effective_resistance(g, start, e.tail) == 0
+            assert effective_resistance(g, e.head, end) == 0
+            assert tau(g, start) == tau(g, e.tail)
+    # the same interior point, once with an int offset and once with a Fraction
+    g = theta_graph(1, 2, 3)
+    assert effective_resistance(g, GraphPoint(2, 1), GraphPoint(2, F(1))) == 0
+    assert effective_resistance(g, GraphPoint(2, 1), GraphPoint(2, F(2))) > 0
+
+
 def test_tau_complete_graphs_unit_length():
     expected = {3: F(1, 4), 4: F(5, 16), 5: F(23, 50), 6: F(25, 36), 7: F(199, 196)}
     for n, value in expected.items():
@@ -204,6 +217,25 @@ def test_cycle_basis_size():
     assert len(cycle_basis(segment(1))) == 0
     for vec in cycle_basis(theta_graph(1, 1, 1)):
         assert len(vec) == 3
+
+
+def test_cycle_basis_is_a_basis_of_the_cycles():
+    # Each vector is a cycle, and some column of the basis matrix is the
+    # i-th unit vector for each i: betti independent cycles whose values on
+    # those edges are their coefficients, hence a Z-basis of the cycles.
+    for g in _oracle_graphs():
+        basis = cycle_basis(g)
+        assert len(basis) == len(g.edges) - g.vertex_count + 1
+        for vec in basis:
+            boundary = [0] * g.vertex_count
+            for c, e in zip(vec, g.edges):
+                boundary[e.head] += c
+                boundary[e.tail] -= c
+            assert boundary == [0] * g.vertex_count, (g, vec)
+        columns = list(zip(*basis))
+        for i in range(len(basis)):
+            unit = tuple(int(k == i) for k in range(len(basis)))
+            assert unit in columns, (g, basis)
 
 
 def test_jacobian_circle():

@@ -310,14 +310,14 @@ def test_rank_whose_box_corners_exceed_the_vertex_budget_is_refused_first(monkey
     # at once, so it is refused before the 2^17 - 1 coset searches
     calls = count_calls(monkeypatch, polytope, "relevant_vectors")
     z17 = validate([[int(i == j) for j in range(17)] for i in range(17)])
-    with pytest.raises(VertexBudgetError, match=r"2\^17 box corners"):
+    with pytest.raises(VertexBudgetError, match=r"2\^17 start corners"):
         voronoi_cell(z17)
     assert calls == [] and "_cell" not in z17.__dict__
     # at 2^g == VERTEX_BUDGET the sweep runs: Z^2 holds 4 vertices throughout
     monkeypatch.setattr(polytope, "VERTEX_BUDGET", 4)
     assert len(voronoi_cell(validate([[1, 0], [0, 1]])).vertices) == 4
     monkeypatch.setattr(polytope, "VERTEX_BUDGET", 3)
-    with pytest.raises(VertexBudgetError, match=r"2\^2 box corners"):
+    with pytest.raises(VertexBudgetError, match=r"2\^2 start corners"):
         voronoi_cell(validate([[1, 0], [0, 1]]))
     assert len(calls) == 1
 
