@@ -143,7 +143,7 @@ class Polytope:
         for v, x in zip(self.vertices, scaled):
             mask = 0
             for k, (row, off) in enumerate(constraints):
-                val = sum(r * c for r, c in zip(row, x))
+                val = sum(map(mul, row, x))
                 if val > off:
                     raise ValueError(f"vertex {v} violates a half-space")
                 if val == off:
@@ -302,8 +302,9 @@ def _star_facet_simplices(poly: Polytope) -> tuple[tuple[tuple[int, ...], int], 
         for k in _bits(mask):
             facets[k] |= 1 << i
     for k, facet in enumerate(facets):
-        # affine_rank([]) is 0, so an empty facet must be caught first.
-        if not facet or _linalg.affine_rank([points[i] for i in _bits(facet)]) != g - 1:
+        # The facet's hyperplane misses the origin (offset > 0), so its points
+        # span an affine (g-1)-space exactly when their rows have rank g.
+        if _linalg.int_rank([points[i] for i in _bits(facet)]) != g:
             raise DegeneratePolytopeError(f"half-space {k} does not support a facet")
     poly._negation  # raises unless the vertex set is closed under negation
     cache: dict[int, list[tuple[int, ...]]] = {}
@@ -351,7 +352,8 @@ def star_triangulation(poly: Polytope) -> tuple[Simplex, ...]:
 def volume(poly: Polytope) -> Fraction:
     """Coordinate-Lebesgue volume via the origin star triangulation."""
     g = poly.dim
-    if _linalg.affine_rank(poly._scaled) != g:
+    # affine rank of the points = rank of the rows (x, 1), less one
+    if _linalg.int_rank([x + (1,) for x in poly._scaled]) != g + 1:
         raise DegeneratePolytopeError("polytope is not full-dimensional")
     # the negated half has the same determinants
     total_det = 2 * sum(det for _, det in poly._star)

@@ -16,7 +16,10 @@ closest-vector search.  Integrating 2 * ntheta over the unit coordinate
 torus reproduces the normalized second moment of the Voronoi cell, which
 gives the quadrature cross-check implemented here: the midpoint sum is
 computed exactly in integers, one row sweep of integer lower envelopes,
-and rounded to float once.
+and rounded to float once.  x -> -x maps the midpoint grid onto itself,
+so the sweep covers the half of the rows with first coordinate at most
+1/2 and counts each unpaired middle row once; the work budget still
+counts every grid point.
 """
 
 from __future__ import annotations
@@ -152,9 +155,13 @@ def moment_by_quadrature(lat: GramLattice, grid_n: int) -> float:
 
         den 4n^2 |x - u|^2 = p^T A p + (4n^2 u^T A u - 4n (Au) . p),
 
-    so the sum is a closed form for the p^T A p terms plus, per row of
-    the last coordinate, the lower envelope of one integer line in
-    p_last per candidate u.  The candidates fill a certified box: the
+    so each row of the last coordinate sums its p^T A p terms in closed
+    form plus the lower envelope of one integer line in p_last per
+    candidate u.  The map x -> -x, p -> 2n - p, sends the grid onto itself
+    and keeps min_u |x - u|^2, so only the rows with p_1 <= n are swept:
+    those with p_1 < n count twice, the row p_1 = n (odd n only) once,
+    and rank 1 has one row.  QUADRATURE_BUDGET still counts all n^g grid
+    points.  The candidates fill a certified box: the
     covering radius obeys rho^2 <= (g/4) trace(G), so the minimizing
     lattice vector for any point of the unit box has i-th coordinate
     within sqrt((G^-1)_ii rho^2) of it.
@@ -179,11 +186,13 @@ def moment_by_quadrature(lat: GramLattice, grid_n: int) -> float:
                       [4 * n * x for x in au[:last]]))
     lines.sort(key=lambda line: -line[0])  # slopes decreasing
     odd = range(1, 2 * n, 2)
+    rows = product(range(1, n + 1, 2), *[odd] * (last - 1)) if last else [()]
+    s2 = n * (4 * n * n - 1) // 3
     total = 0
-    for prefix in product(odd, repeat=last):
+    for prefix in rows:
         hull: list[tuple[int, int]] = []  # lower envelope, slopes decreasing
         for slope, const, coef in lines:
-            c = const - sum(k * p for k, p in zip(coef, prefix))
+            c = const - sum(map(mul, coef, prefix))
             if hull and hull[-1][0] == slope:
                 if hull[-1][1] <= c:
                     continue
@@ -196,16 +205,15 @@ def moment_by_quadrature(lat: GramLattice, grid_n: int) -> float:
                     break
                 hull.pop()
             hull.append((slope, c))
+        # the row's sum of p^T A p, p = (prefix, t): sum t = n^2, sum t^2 = s2
+        aq = [sum(map(mul, row, prefix)) for row in a]
+        row_total = n * sum(map(mul, aq, prefix)) + 2 * n * n * aq[last] + a[last][last] * s2
         j, top = 0, len(hull) - 1
         b, c = hull[0]
         for t in odd:
             while j < top and hull[j + 1][0] * t + hull[j + 1][1] <= b * t + c:
                 j += 1
                 b, c = hull[j]
-            total += b * t + c
-    # sum of p^T A p over the grid: per coordinate sum p = n^2 and
-    # sum p^2 = n (4n^2 - 1) / 3
-    trace = sum(a[i][i] for i in range(g))
-    off = sum(a[i][j] for i in range(g) for j in range(g) if i != j)
-    total += n**last * (trace * (n * (4 * n * n - 1) // 3) + off * n**3)
+            row_total += b * t + c
+        total += row_total if not prefix or prefix[0] == n else 2 * row_total
     return float(Fraction(total, lat._den * 4 * n * n * n**g))

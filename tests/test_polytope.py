@@ -255,7 +255,7 @@ def test_simplex_rejects_degenerate():
 
 def test_polytope_rejects_outside_vertex():
     cell = voronoi_cell(ID2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="violates a half-space"):
         Polytope(halfspaces=cell.halfspaces, vertices=((F(2), F(0)),))
 
 
@@ -278,6 +278,19 @@ def test_star_triangulation_rejects_halfspace_without_facet():
     with pytest.raises(DegeneratePolytopeError,
                        match=f"half-space {k} does not support a facet"):
         star_triangulation(half)
+
+
+def test_star_triangulation_rejects_halfspace_on_a_facet_of_too_low_rank():
+    # three corners of the square cell of Z^2: the two sides through the
+    # missing corner keep one vertex each, a nonempty set of rank 1
+    cell = voronoi_cell(ID2)
+    corners = tuple(v for v in cell.vertices if v != (F(1, 2), F(-1, 2)))
+    three = Polytope(halfspaces=cell.halfspaces, vertices=corners)
+    k = next(k for k, hs in enumerate(cell.halfspaces)
+             if sum(three._tight_masks[i] >> k & 1 for i in range(3)) == 1)
+    with pytest.raises(DegeneratePolytopeError,
+                       match=f"half-space {k} does not support a facet"):
+        _star_facet_simplices(three)
 
 
 def test_star_triangulation_rejects_vertex_set_not_closed_under_negation():
