@@ -53,7 +53,6 @@ from .neron import (
 from .polytope import (
     HalfSpace,
     Polytope,
-    Simplex,
     second_moment,
     star_triangulation,
     volume,

@@ -159,11 +159,3 @@ def integer_row(values) -> tuple[list[int], int]:
         den = lcm(den, v.denominator)
     return [v.numerator * (den // v.denominator) for v in values], den
 
-
-def affine_rank(points) -> int:
-    """Dimension of the affine hull of a list of rational points."""
-    if len(points) <= 1:
-        return 0
-    base = points[0]
-    return int_rank([integer_row([x - y for x, y in zip(p, base)])[0]
-                     for p in points[1:]])

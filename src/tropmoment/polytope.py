@@ -35,8 +35,9 @@ the vertex-facet incidences alone: the facets of a face F are the
 inclusion-maximal proper, nonempty intersections of F with the facets of
 the cell (Ziegler, Lectures on Polytopes, 2.1), and a d-face with d + 1
 vertices is a simplex.  Only one facet of each pair is triangulated (the
-half star): the one whose normal has a positive first nonzero coordinate.
-The negations of its simplices triangulate the other, with the same
+half star): ``_mirrors`` pairs a_k . x <= b_k with -a_k . x <= b_k on the
+integer rows, and the later facet of each pair is triangulated.  The
+negations of its simplices triangulate the other, with the same
 volumes and, x^T G x being even, the same moments: the sums over the cell
 are twice those over the half star, and the 2 cancels in I.  The metric
 Jacobian sqrt(det G) cancels in the normalized moment, so it never
@@ -50,6 +51,13 @@ follows from the barycentric moments E[t_i t_j] = (1 + delta_ij) /
 norms of the vertices and one Gram product per simplex, and no table of
 vertex pairs.  Each cell is scaled to integers and validated once, and its
 integer sums are divided once, at the end.
+
+Each fact about a cell is checked once, in integers: ``Polytope`` checks
+its vertices and keeps ``_facets``, and the half star checks that every
+half-space supports a facet, that the vertices are closed under negation,
+that ``_mirrors`` pairs every half-space, and that no simplex is flat.
+The cell is then full-dimensional (0 is the midpoint of v and -v) and
+every pair adds a positive volume, so nothing else checks either.
 
 Each lattice keeps the cell ``voronoi_cell`` built for it, and each cell
 keeps its half star, so ``volume``, ``second_moment`` and
@@ -73,7 +81,6 @@ from .lattice import GramLattice, _gram_image, relevant_vectors
 __all__ = [
     "HalfSpace",
     "Polytope",
-    "Simplex",
     "DegeneratePolytopeError",
     "VertexBudgetError",
     "voronoi_cell",
@@ -114,21 +121,11 @@ class HalfSpace:
 
 
 @dataclass(frozen=True)
-class Simplex:
-    """Affinely independent vertex tuple; triangulation carrier."""
-
-    vertices: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        if _linalg.affine_rank(self.vertices) != len(self.vertices) - 1:
-            raise ValueError("simplex vertices are affinely dependent")
-
-
-@dataclass(frozen=True)
 class Polytope:
     """H- and V-representation.  ``__post_init__`` validates the vertices in
     one pass, keeping them as integer rows ``_scaled`` over one denominator
-    ``_den`` and their tight facets as bitmasks ``_tight_masks``."""
+    ``_den`` and each half-space's tight vertices as the bitmask ``_facets[k]``
+    (bit i for vertex i).  The half star checks the rest (see the module)."""
 
     halfspaces: tuple[HalfSpace, ...]
     vertices: tuple[tuple[Fraction, ...], ...]
@@ -139,23 +136,23 @@ class Polytope:
         scaled = tuple(tuple(flat[i:i + dim]) for i in range(0, len(flat), dim))
         a, b = _integer_constraints(self.halfspaces)
         constraints = [(row, off * den) for row, off in zip(a, b)]
-        masks = []
-        for v, x in zip(self.vertices, scaled):
-            mask = 0
+        facets = [0] * len(constraints)
+        for i, (v, x) in enumerate(zip(self.vertices, scaled)):
+            tight = 0
             for k, (row, off) in enumerate(constraints):
                 val = sum(map(mul, row, x))
                 if val > off:
                     raise ValueError(f"vertex {v} violates a half-space")
                 if val == off:
-                    mask |= 1 << k
-            if mask.bit_count() < dim:
+                    facets[k] |= 1 << i
+                    tight += 1
+            if tight < dim:
                 raise ValueError(f"vertex {v} is tight on fewer than {dim} facets")
-            masks.append(mask)
         if len(set(scaled)) != len(scaled):
             raise ValueError("vertex list has duplicates")
         object.__setattr__(self, "_scaled", scaled)
         object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_tight_masks", tuple(masks))
+        object.__setattr__(self, "_facets", tuple(facets))
 
     @property
     def dim(self) -> int:
@@ -182,13 +179,19 @@ def _integer_constraints(halfspaces) -> tuple[list[list[int]], list[int]]:
     return [row[:-1] for row in rows], [row[-1] for row in rows]
 
 
+def _mirrors(a, b) -> list[int | None]:
+    """For each integer constraint a_k . x <= b_k, the index of
+    -a_k . x <= b_k, or None.  This is the only rule that pairs facets."""
+    index = {(tuple(row), off): k for k, (row, off) in enumerate(zip(a, b))}
+    return [index.get((tuple(-c for c in row), off)) for row, off in zip(a, b)]
+
+
 def _vertices_dd(a, b, g) -> set[tuple[Fraction, ...]]:
     """Double description from the parallelotope of g independent facet pairs,
     on primitive integer homogeneous vertices (x, w) with w > 0.  The facets
     must come in pairs: a_k' = -a_k, b_k' = b_k."""
-    index = {tuple(r): k for k, r in enumerate(a)}
     # mirror[k]: the facet of -u, so -v is tight on mirror(mask of v).
-    mirror = [index[tuple(-r for r in row)] for row in a]
+    mirror = _mirrors(a, b)
     start: list[int] = []
     for k, row in enumerate(a):
         if mirror[k] > k and _linalg.int_rank([a[j] for j in start] + [row]) > len(start):
@@ -289,24 +292,23 @@ def _build_cell(lat: GramLattice) -> Polytope:
 
 
 def _star_facet_simplices(poly: Polytope) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Triangulate one facet of each pair +-u, the one whose normal has a
-    positive first nonzero coordinate: ``(s, |det|)`` for each (g-1)-simplex,
-    where ``s`` holds vertex indices and ``det`` is the determinant of their
-    integer rows, the scaled volume of the cone over ``s`` from the origin.
-    The other facet of each pair is the negation of its representative."""
+    """Triangulate the later facet of each pair +-u: ``(s, |det|)`` for each
+    (g-1)-simplex, where ``s`` holds vertex indices and ``det`` is the
+    determinant of their integer rows, the scaled volume of the cone over
+    ``s`` from the origin.  The other facet of each pair is the negation of
+    its representative."""
     g = poly.dim
     points = poly._scaled
-    # Facet k as the bitmask of the vertices tight on half-space k.
-    facets = [0] * len(poly.halfspaces)
-    for i, mask in enumerate(poly._tight_masks):
-        for k in _bits(mask):
-            facets[k] |= 1 << i
+    facets = poly._facets
     for k, facet in enumerate(facets):
         # The facet's hyperplane misses the origin (offset > 0), so its points
         # span an affine (g-1)-space exactly when their rows have rank g.
         if _linalg.int_rank([points[i] for i in _bits(facet)]) != g:
             raise DegeneratePolytopeError(f"half-space {k} does not support a facet")
     poly._negation  # raises unless the vertex set is closed under negation
+    mirror = _mirrors(*_integer_constraints(poly.halfspaces))
+    if any(m in (None, k) or mirror[m] != k for k, m in enumerate(mirror)):
+        raise DegeneratePolytopeError("half-spaces do not pair under negation")
     cache: dict[int, list[tuple[int, ...]]] = {}
 
     def tri(face: int, d: int) -> list[tuple[int, ...]]:
@@ -328,36 +330,29 @@ def _star_facet_simplices(poly: Polytope) -> tuple[tuple[tuple[int, ...], int], 
         cache[face] = out
         return out
 
-    simplices: list[tuple[int, ...]] = []
-    for facet, hs in zip(facets, poly.halfspaces):
-        if next(c for c in hs.normal if c) > 0:
-            simplices.extend(tri(facet, g - 1))
-    return tuple((s, abs(_linalg.int_det([points[i] for i in s]))) for s in simplices)
+    star = tuple((s, abs(_linalg.int_det([points[i] for i in s])))
+                 for k, facet in enumerate(facets) if mirror[k] < k for s in tri(facet, g - 1))
+    if any(det == 0 for _, det in star):
+        raise DegeneratePolytopeError("a star simplex is flat")
+    return star
 
 
-def star_triangulation(poly: Polytope) -> tuple[Simplex, ...]:
-    """Star triangulation of the cell from the origin; origin comes first
-    in every simplex.  The simplices over the representative facets come
-    first, then their negations in the same order."""
-    g = poly.dim
-    origin = tuple(Fraction(0) for _ in range(g))
-    half = [s for s, _ in poly._star]
-    neg = poly._negation
-    return tuple(
-        Simplex(vertices=(origin,) + tuple(poly.vertices[i] for i in s))
-        for s in half + [tuple(neg[i] for i in s) for s in half]
-    )
+def star_triangulation(poly: Polytope) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+    """Star triangulation of the cell from the origin: each simplex is a
+    tuple of vertices, the origin first.  The simplices over the
+    representative facets come first, then their negations in the same
+    order."""
+    simplices = [s for s, _ in poly._star]
+    simplices += [tuple(poly._negation[i] for i in s) for s in simplices]
+    origin = (Fraction(0),) * poly.dim
+    return tuple((origin,) + tuple(poly.vertices[i] for i in s) for s in simplices)
 
 
 def volume(poly: Polytope) -> Fraction:
     """Coordinate-Lebesgue volume via the origin star triangulation."""
-    g = poly.dim
-    # affine rank of the points = rank of the rows (x, 1), less one
-    if _linalg.int_rank([x + (1,) for x in poly._scaled]) != g + 1:
-        raise DegeneratePolytopeError("polytope is not full-dimensional")
     # the negated half has the same determinants
     total_det = 2 * sum(det for _, det in poly._star)
-    return Fraction(total_det, factorial(g) * poly._den ** g)
+    return Fraction(total_det, factorial(poly.dim) * poly._den ** poly.dim)
 
 
 def second_moment(lat: GramLattice) -> Fraction:
@@ -379,6 +374,4 @@ def second_moment(lat: GramLattice) -> Fraction:
         w = list(map(sum, zip(*[points[i] for i in s])))
         total_det += det
         total_mom += det * (sum(norms[i] for i in s) + sum(map(mul, w, _gram_image(lat, w))))
-    if total_det == 0:
-        raise DegeneratePolytopeError("voronoi cell has zero volume")
     return Fraction(total_mom, (g + 1) * (g + 2) * poly._den ** 2 * lat._den * total_det)

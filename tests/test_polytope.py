@@ -18,7 +18,6 @@ from tropmoment.polytope import (
     DegeneratePolytopeError,
     HalfSpace,
     Polytope,
-    Simplex,
     VertexBudgetError,
     _star_facet_simplices,
     second_moment,
@@ -190,8 +189,9 @@ def _sheared(gram, rng):
 
 
 def test_star_triangulation_matches_rank_tested_oracle():
-    # the library triangulates and integrates one facet of each pair +-u,
-    # the one whose normal has a positive first nonzero coordinate
+    # the library triangulates and integrates the later facet of each pair
+    # +-u; relevant vectors are sorted by norm then lex, so on a Voronoi cell
+    # that is the one whose normal has a positive first nonzero coordinate
     rng = random.Random(2468)
     grams = [_cartan(n, [(i, i + 1) for i in range(n - 1)]) for n in range(2, 7)]
     grams += [[[int(i == j) for j in range(n)] for i in range(n)] for n in range(1, 5)]
@@ -245,12 +245,44 @@ def test_star_triangulation_counts():
     assert len(star_triangulation(voronoi_cell(ID2))) == 4
     assert len(star_triangulation(voronoi_cell(A2))) == 6
     for simplex in star_triangulation(voronoi_cell(A2)):
-        assert simplex.vertices[0] == (F(0), F(0))
+        assert len(simplex) == 3 and simplex[0] == (F(0), F(0))
 
 
-def test_simplex_rejects_degenerate():
-    with pytest.raises(ValueError):
-        Simplex(vertices=((F(0), F(0)), (F(1), F(0)), (F(2), F(0))))
+def test_star_triangulation_rejects_a_flat_simplex(monkeypatch):
+    # a zero determinant means the origin and the simplex's vertices are
+    # affinely dependent
+    cell = voronoi_cell(validate([[2, 1], [1, 2]]))
+    monkeypatch.setattr(polytope._linalg, "int_det", lambda rows: 0)
+    with pytest.raises(DegeneratePolytopeError, match="flat"):
+        star_triangulation(cell)
+    with pytest.raises(DegeneratePolytopeError, match="flat"):
+        volume(cell)
+
+
+def test_volume_pairs_facets_by_their_rows_not_their_normal_labels():
+    # the half star triangulates one facet of each pair, found from the
+    # integer rows: shuffling the half-spaces and flipping the signs of
+    # some of their normal labels must not change which facets cover the cell
+    rng = random.Random(5)
+    for _ in range(30):
+        cell = voronoi_cell(validate(random_pd_gram(rng, max_rank=4)))
+        halfspaces = []
+        for hs in cell.halfspaces:
+            sign = rng.choice((1, -1))
+            normal = tuple(sign * c for c in hs.normal)
+            halfspaces.append(HalfSpace(normal=normal, row=hs.row, offset=hs.offset))
+        rng.shuffle(halfspaces)
+        assert volume(Polytope(halfspaces=tuple(halfspaces), vertices=cell.vertices)) == 1
+
+
+def test_star_triangulation_rejects_halfspaces_that_do_not_pair():
+    # the square cell of Z^2 with one side listed twice: every half-space
+    # supports a facet, but the pairs no longer match up
+    cell = voronoi_cell(ID2)
+    side = next(hs for hs in cell.halfspaces if hs.normal == (1, 0))
+    doubled = Polytope(halfspaces=cell.halfspaces + (side,), vertices=cell.vertices)
+    with pytest.raises(DegeneratePolytopeError, match="do not pair under negation"):
+        volume(doubled)
 
 
 def test_polytope_rejects_outside_vertex():
@@ -286,8 +318,7 @@ def test_star_triangulation_rejects_halfspace_on_a_facet_of_too_low_rank():
     cell = voronoi_cell(ID2)
     corners = tuple(v for v in cell.vertices if v != (F(1, 2), F(-1, 2)))
     three = Polytope(halfspaces=cell.halfspaces, vertices=corners)
-    k = next(k for k, hs in enumerate(cell.halfspaces)
-             if sum(three._tight_masks[i] >> k & 1 for i in range(3)) == 1)
+    k = next(k for k, facet in enumerate(three._facets) if facet.bit_count() == 1)
     with pytest.raises(DegeneratePolytopeError,
                        match=f"half-space {k} does not support a facet"):
         _star_facet_simplices(three)
