@@ -212,10 +212,8 @@ def _cmd_elliptic_height(args) -> dict:
 
 def _cmd_ffheight(args) -> dict:
     h_nt = parse_rational(args.hnt, "heights", "--hnt")
-    moments = [
-        parse_rational(part.strip(), "heights", f"--moments[{i}]")
-        for i, part in enumerate(args.moments.split(","))
-    ] if args.moments else []
+    # a list, as _flatten walks only lists
+    moments = list(_parse_point(args.moments, "heights", "--moments")) if args.moments else []
     try:
         value = heights.function_field_height(args.g, h_nt, moments)
     except ValueError as exc:  # g < 1

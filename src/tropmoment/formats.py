@@ -5,7 +5,8 @@ cannot be read, e.g. a malformed rational), :class:`SchemaError` (wrong
 structure), or :class:`DomainError` (structurally fine input rejected by
 a domain invariant, e.g. a non positive definite Gram matrix).  Each
 error carries the owning module name and the JSON path of the offending
-field.  Schemas are documented in docs/formats.md.
+field; ``_field`` forms every field's path.  Schemas are documented in
+docs/formats.md.
 """
 
 from __future__ import annotations
@@ -92,12 +93,15 @@ def _expect_number(value, module: str, path: str) -> float:
     return number
 
 
-def _expect_key(obj: dict, key: str, module: str, path: str):
+def _field(obj: dict, key: str, module: str, path: str, read=None):
+    """``obj[key]``, read by ``read(value, module, field path)`` if given; the
+    only code that forms a field's error path."""
     if not isinstance(obj, dict):
         raise SchemaError(module, path, "expected an object")
+    field = f"{path}.{key}" if path else key
     if key not in obj:
-        raise SchemaError(module, f"{path}.{key}" if path else key, "missing field")
-    return obj[key]
+        raise SchemaError(module, field, "missing field")
+    return obj[key] if read is None else read(obj[key], module, field)
 
 
 def load_json_file(path, module: str):
@@ -115,8 +119,8 @@ def load_json_file(path, module: str):
 def load_lattice(obj) -> GramLattice:
     """{"rank": g, "gram": [["p/q", ...], ...]}"""
     module = "lattice"
-    rank = _expect_int(_expect_key(obj, "rank", module, ""), module, "rank")
-    gram_obj = _expect_key(obj, "gram", module, "")
+    rank = _field(obj, "rank", module, "", _expect_int)
+    gram_obj = _field(obj, "gram", module, "")
     if not isinstance(gram_obj, list) or len(gram_obj) != rank:
         raise SchemaError(module, "gram", f"expected {rank} rows")
     rows = []
@@ -135,20 +139,15 @@ def load_lattice(obj) -> GramLattice:
 def load_graph(obj) -> MetricGraph:
     """{"vertices": n, "edges": [{"tail": i, "head": j, "length": "p/q"}, ...]}"""
     module = "metricgraph"
-    n = _expect_int(_expect_key(obj, "vertices", module, ""), module, "vertices")
-    edges_obj = _expect_key(obj, "edges", module, "")
+    n = _field(obj, "vertices", module, "", _expect_int)
+    edges_obj = _field(obj, "edges", module, "")
     if not isinstance(edges_obj, list):
         raise SchemaError(module, "edges", "expected a list")
     edges = []
     for i, e in enumerate(edges_obj):
-        tail = _expect_int(_expect_key(e, "tail", module, f"edges[{i}]"),
-                           module, f"edges[{i}].tail")
-        head = _expect_int(_expect_key(e, "head", module, f"edges[{i}]"),
-                           module, f"edges[{i}].head")
-        length = parse_rational(
-            _expect_key(e, "length", module, f"edges[{i}]"),
-            module, f"edges[{i}].length",
-        )
+        tail = _field(e, "tail", module, f"edges[{i}]", _expect_int)
+        head = _field(e, "head", module, f"edges[{i}]", _expect_int)
+        length = _field(e, "length", module, f"edges[{i}]", parse_rational)
         try:
             edges.append(Edge(tail, head, length))
         except ValueError as exc:
@@ -163,37 +162,25 @@ def load_places(obj) -> EllipticPlaces:
     """{"degree": d, "nonarch": [{"ord_delta": n, "log_nv": x}, ...],
         "arch": [{"tau_re": a, "tau_im": b}, ...]}"""
     module = "heights"
-    degree = _expect_int(_expect_key(obj, "degree", module, ""), module, "degree")
-    nonarch_obj = _expect_key(obj, "nonarch", module, "")
-    arch_obj = _expect_key(obj, "arch", module, "")
+    degree = _field(obj, "degree", module, "", _expect_int)
+    nonarch_obj = _field(obj, "nonarch", module, "")
+    arch_obj = _field(obj, "arch", module, "")
     if not isinstance(nonarch_obj, list):
         raise SchemaError(module, "nonarch", "expected a list")
     if not isinstance(arch_obj, list):
         raise SchemaError(module, "arch", "expected a list")
     nonarch = []
     for i, entry in enumerate(nonarch_obj):
-        ord_delta = _expect_int(
-            _expect_key(entry, "ord_delta", module, f"nonarch[{i}]"),
-            module, f"nonarch[{i}].ord_delta",
-        )
-        log_nv = _expect_number(
-            _expect_key(entry, "log_nv", module, f"nonarch[{i}]"),
-            module, f"nonarch[{i}].log_nv",
-        )
+        ord_delta = _field(entry, "ord_delta", module, f"nonarch[{i}]", _expect_int)
+        log_nv = _field(entry, "log_nv", module, f"nonarch[{i}]", _expect_number)
         try:
             nonarch.append(NonArchPlace(ord_delta=ord_delta, log_nv=log_nv))
         except ValueError as exc:
             raise DomainError(module, f"nonarch[{i}]", str(exc)) from None
     arch = []
     for i, entry in enumerate(arch_obj):
-        re_part = _expect_number(
-            _expect_key(entry, "tau_re", module, f"arch[{i}]"),
-            module, f"arch[{i}].tau_re",
-        )
-        im_part = _expect_number(
-            _expect_key(entry, "tau_im", module, f"arch[{i}]"),
-            module, f"arch[{i}].tau_im",
-        )
+        re_part = _field(entry, "tau_re", module, f"arch[{i}]", _expect_number)
+        im_part = _field(entry, "tau_im", module, f"arch[{i}]", _expect_number)
         if not im_part > 0:
             raise DomainError(module, f"arch[{i}].tau_im",
                               "period must lie in the upper half plane")

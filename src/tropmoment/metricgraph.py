@@ -25,10 +25,12 @@ The cycle space of the graph carries the Gram matrix
     gram[i][j] = sum over edges e of length(e) * c_i(e) * c_j(e)
 
 over an integral cycle basis built from a deterministic DFS spanning
-tree.  Its normalized second moment is basis-independent and satisfies
-the identity I = length/8 - tau/2, which couples this module against the
-lattice/polytope pipeline through two unrelated computations; the
-residual of that identity is exposed here.
+tree.  ``_spanning_tree`` is the only graph walk: the same DFS checks that
+the graph is connected and gives the cycle basis its tree paths.  The
+normalized second moment of the cycle lattice is basis-independent and
+satisfies the identity I = length/8 - tau/2, which couples this module
+against the lattice/polytope pipeline through two unrelated computations;
+the residual of that identity is exposed here.
 
 Each graph keeps its Jacobian lattice (and through it the lattice's
 Voronoi cell) and its tau at the default base point, vertex 0; both live
@@ -101,20 +103,7 @@ class MetricGraph:
             if not (0 <= e.tail < self.vertex_count
                     and 0 <= e.head < self.vertex_count):
                 raise ValueError(f"edge endpoint out of range: {e}")
-        # connectivity over the underlying graph (loops are irrelevant)
-        seen = {0}
-        frontier = [0]
-        adj: dict[int, list[int]] = {}
-        for e in self.edges:
-            adj.setdefault(e.tail, []).append(e.head)
-            adj.setdefault(e.head, []).append(e.tail)
-        while frontier:
-            v = frontier.pop()
-            for w in adj.get(v, ()):
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        if len(seen) != self.vertex_count:
+        if len(_spanning_tree(self)) != self.vertex_count:
             raise DisconnectedGraphError("graph is not connected")
 
     @cached_property
@@ -272,33 +261,43 @@ def _tau_at(graph: MetricGraph, q) -> Fraction:
     return total / 2
 
 
-def cycle_basis(graph: MetricGraph) -> list[list[int]]:
-    """Integral cycle basis from the DFS spanning tree (lowest edge index
-    wins ties); one coefficient vector per independent cycle."""
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(graph.vertex_count)]
+def _spanning_tree(graph: MetricGraph) -> dict[int, tuple[int, int] | None]:
+    """The DFS spanning tree of the component of vertex 0 (lowest edge index
+    wins ties): each vertex reached maps to (its parent, the edge joining
+    them), the root 0 to None, and parents come before their children."""
+    # keyed by vertex: vertex_count is not bounded by the edges
+    incident: dict[int, list[tuple[int, int]]] = {}
     for idx, e in enumerate(graph.edges):
-        incident[e.tail].append((idx, e.head))
+        incident.setdefault(e.tail, []).append((idx, e.head))
         if e.head != e.tail:
-            incident[e.head].append((idx, e.tail))
-    # path[v]: the signed tree path from the root 0 to v, as edge coefficients
-    path = {0: [0] * len(graph.edges)}
-    tree_edges: set[int] = set()
+            incident.setdefault(e.head, []).append((idx, e.tail))
+    tree: dict[int, tuple[int, int] | None] = {0: None}
     stack = [0]
     while stack:
         v = stack.pop()
         # reversed push so the lowest edge index is explored first
-        for idx, w in reversed(incident[v]):
-            if w not in path:
-                path[w] = path[v][:]
-                path[w][idx] = 1 if graph.edges[idx].tail == v else -1
-                tree_edges.add(idx)
+        for idx, w in reversed(incident.get(v, ())):
+            if w not in tree:
+                tree[w] = (v, idx)
                 stack.append(w)
+    return tree
+
+
+def cycle_basis(graph: MetricGraph) -> list[list[int]]:
+    """Integral cycle basis from the DFS spanning tree of ``_spanning_tree``;
+    one coefficient vector per independent cycle."""
+    # path[v]: the signed tree path from the root 0 to v, as edge coefficients
+    path = {0: [0] * len(graph.edges)}
+    for w, (v, idx) in list(_spanning_tree(graph).items())[1:]:
+        path[w] = path[v][:]
+        path[w][idx] = 1 if graph.edges[idx].tail == v else -1
     basis: list[list[int]] = []
     for idx, e in enumerate(graph.edges):
-        if idx not in tree_edges:
-            # along e from tail to head, then back to the tail in the tree
-            vec = [x - y for x, y in zip(path[e.tail], path[e.head])]
-            vec[idx] += 1
+        # along e from tail to head, then back to the tail in the tree: zero
+        # exactly when e is a tree edge
+        vec = [x - y for x, y in zip(path[e.tail], path[e.head])]
+        vec[idx] += 1
+        if any(vec):
             basis.append(vec)
     return basis
 

@@ -53,9 +53,11 @@ vertex pairs.  Each cell is scaled to integers and validated once, and its
 integer sums are divided once, at the end.
 
 Each fact about a cell is checked once, in integers: ``Polytope`` checks
-its vertices and keeps ``_facets``, and the half star checks that every
-half-space supports a facet, that the vertices are closed under negation,
-that ``_mirrors`` pairs every half-space, and that no simplex is flat.
+its vertices and builds ``_facets``, ``_negation`` (the index of -v, or
+None) and ``_mirror`` (``_mirrors`` of its integer rows), and the half star
+reads them: it checks that every half-space supports a facet, that the
+vertices are closed under negation, that ``_mirror`` pairs every
+half-space, and that no simplex is flat.
 The cell is then full-dimensional (0 is the midpoint of v and -v) and
 every pair adds a positive volume, so nothing else checks either.
 
@@ -124,8 +126,10 @@ class HalfSpace:
 class Polytope:
     """H- and V-representation.  ``__post_init__`` validates the vertices in
     one pass, keeping them as integer rows ``_scaled`` over one denominator
-    ``_den`` and each half-space's tight vertices as the bitmask ``_facets[k]``
-    (bit i for vertex i).  The half star checks the rest (see the module)."""
+    ``_den``, each half-space's tight vertices as the bitmask ``_facets[k]``
+    (bit i for vertex i), the index ``_negation[i]`` of -v_i (or None) and
+    ``_mirror = _mirrors(a, b)``.  The half star reads them and checks the
+    rest (see the module)."""
 
     halfspaces: tuple[HalfSpace, ...]
     vertices: tuple[tuple[Fraction, ...], ...]
@@ -148,11 +152,15 @@ class Polytope:
                     tight += 1
             if tight < dim:
                 raise ValueError(f"vertex {v} is tight on fewer than {dim} facets")
-        if len(set(scaled)) != len(scaled):
+        index = {x: i for i, x in enumerate(scaled)}
+        if len(index) != len(scaled):
             raise ValueError("vertex list has duplicates")
         object.__setattr__(self, "_scaled", scaled)
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_facets", tuple(facets))
+        negation = tuple(index.get(tuple(-c for c in x)) for x in scaled)
+        object.__setattr__(self, "_negation", negation)
+        object.__setattr__(self, "_mirror", _mirrors(a, b))
 
     @property
     def dim(self) -> int:
@@ -161,15 +169,6 @@ class Polytope:
     @cached_property
     def _star(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         return _star_facet_simplices(self)
-
-    @cached_property
-    def _negation(self) -> tuple[int, ...]:
-        """Index of -v for each vertex v."""
-        index = {x: i for i, x in enumerate(self._scaled)}
-        try:
-            return tuple(index[tuple(-c for c in x)] for x in self._scaled)
-        except KeyError:
-            raise DegeneratePolytopeError("vertex set is not closed under negation") from None
 
 
 def _integer_constraints(halfspaces) -> tuple[list[list[int]], list[int]]:
@@ -305,8 +304,9 @@ def _star_facet_simplices(poly: Polytope) -> tuple[tuple[tuple[int, ...], int], 
         # span an affine (g-1)-space exactly when their rows have rank g.
         if _linalg.int_rank([points[i] for i in _bits(facet)]) != g:
             raise DegeneratePolytopeError(f"half-space {k} does not support a facet")
-    poly._negation  # raises unless the vertex set is closed under negation
-    mirror = _mirrors(*_integer_constraints(poly.halfspaces))
+    if None in poly._negation:
+        raise DegeneratePolytopeError("vertex set is not closed under negation")
+    mirror = poly._mirror
     if any(m in (None, k) or mirror[m] != k for k, m in enumerate(mirror)):
         raise DegeneratePolytopeError("half-spaces do not pair under negation")
     cache: dict[int, list[tuple[int, ...]]] = {}

@@ -84,30 +84,29 @@ def trop_theta_norm(lat: GramLattice, nu) -> Fraction:
     return Fraction(dist_sq, 2)
 
 
-def _warn_if_not_two_torsion(kappa):
+def _shift(lat: GramLattice, kappa, nu) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """(kappa, nu + kappa) for the shifted thetas, after checking both points;
+    warns, at the caller of the shifted theta, if kappa is not 2-torsion."""
+    kappa = _check_point(lat, kappa)
+    nu = _check_point(lat, nu)
     if any((2 * c).denominator != 1 for c in kappa):
         warnings.warn(
             "shift vector is not 2-torsion on the torus; values are still "
             "well defined but do not correspond to a symmetric divisor",
             stacklevel=3,
         )
+    return kappa, tuple(a + b for a, b in zip(nu, kappa))
 
 
 def trop_theta_shifted(lat: GramLattice, kappa, nu) -> Fraction:
     """Theta translated by kappa: value at nu + kappa."""
-    kappa = _check_point(lat, kappa)
-    nu = _check_point(lat, nu)
-    _warn_if_not_two_torsion(kappa)
-    return trop_theta(lat, tuple(a + b for a, b in zip(nu, kappa)))
+    return trop_theta(lat, _shift(lat, kappa, nu)[1])
 
 
 def trop_theta_shifted0(lat: GramLattice, kappa, nu) -> Fraction:
     """Translated theta re-based to vanish at nu = 0."""
-    kappa = _check_point(lat, kappa)
-    nu = _check_point(lat, nu)
-    _warn_if_not_two_torsion(kappa)
-    shifted = trop_theta(lat, tuple(a + b for a, b in zip(nu, kappa)))
-    return shifted - trop_theta(lat, kappa)
+    kappa, shifted = _shift(lat, kappa, nu)
+    return trop_theta(lat, shifted) - trop_theta(lat, kappa)
 
 
 def trop_theta_norm_shifted0(lat: GramLattice, kappa, nu) -> Fraction:
@@ -116,11 +115,8 @@ def trop_theta_norm_shifted0(lat: GramLattice, kappa, nu) -> Fraction:
     Equals ntheta(nu + kappa) - ntheta(kappa); its minimum over the torus
     is -ntheta(kappa), attained at nu = -kappa mod the lattice.
     """
-    kappa = _check_point(lat, kappa)
-    nu = _check_point(lat, nu)
-    _warn_if_not_two_torsion(kappa)
-    shifted = trop_theta_norm(lat, tuple(a + b for a, b in zip(nu, kappa)))
-    return shifted - trop_theta_norm(lat, kappa)
+    kappa, shifted = _shift(lat, kappa, nu)
+    return trop_theta_norm(lat, shifted) - trop_theta_norm(lat, kappa)
 
 
 def functional_equation_residual(lat: GramLattice, nu, u) -> Fraction:

@@ -247,6 +247,38 @@ def oracle_star_simplices(poly, facets=None):
     return [s for k in facets for s in tri(tight[k], poly.dim - 1)]
 
 
+def oracle_chamber_moment(cartan):
+    """Normalized second moment of an irreducible root lattice, given by its
+    Cartan matrix G, from one chamber of its Voronoi cell.
+
+    The roots are the simple roots closed under the simple reflections
+    s_i(x) = x - (G x)_i e_i; the highest root has the largest coordinate
+    sum, and its coordinates are the marks m_i.  The cell is the union of
+    the Weyl images of the simplex on 0 and v_i = (column i of G^-1) / m_i,
+    w = sum v_i, so I = (sum [v_i, v_i] + [w, w]) / ((g+1)(g+2)) (Conway &
+    Sloane, IEEE Trans. IT 28 (1982); SPLAG ch. 21).  No relevant-vector
+    search, double description or triangulation is involved.
+    """
+    g = len(cartan)
+    simple = [tuple(int(i == j) for j in range(g)) for i in range(g)]
+    roots, frontier = set(simple), list(simple)
+    while frontier:
+        x = frontier.pop()
+        for i in range(g):
+            y = list(x)
+            y[i] -= sum(cartan[i][j] * x[j] for j in range(g))
+            y = tuple(y)
+            if y not in roots:
+                roots.add(y)
+                frontier.append(y)
+    marks = max(roots, key=sum)
+    identity = [[int(i == j) for j in range(g)] for i in range(g)]
+    verts = [[c / m for c in col] for col, m in zip(oracle_solve(cartan, identity), marks)]
+    w = [sum(col) for col in zip(*verts)]
+    total = sum(oracle_qform(cartan, v) for v in verts) + oracle_qform(cartan, w)
+    return total / ((g + 1) * (g + 2))
+
+
 def oracle_shortest(gram):
     """All nonzero lattice vectors of minimal norm (box certified by the
     smallest diagonal entry, which the minimum cannot exceed)."""

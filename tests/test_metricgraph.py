@@ -50,6 +50,13 @@ def test_disconnected_rejected():
         make_graph(3, [(0, 1, 1)])
 
 
+def test_connectivity_walk_is_not_sized_by_vertex_count():
+    # the walk visits only vertices that edges reach, so a huge vertex
+    # count with one edge is rejected at once
+    with pytest.raises(DisconnectedGraphError):
+        MetricGraph(vertex_count=10**18, edges=(Edge(0, 1, F(1)),))
+
+
 def test_nonpositive_length_rejected():
     with pytest.raises(ValueError):
         Edge(0, 1, F(0))

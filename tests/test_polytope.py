@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     count_calls,
+    oracle_chamber_moment,
     oracle_cell_vertices,
     oracle_rank,
     oracle_star_simplices,
@@ -349,6 +350,15 @@ def test_cell_is_kept_on_its_lattice_only_after_a_build_within_budget(monkeypatc
     assert cell == voronoi_cell(validate(gram)) and cell is not voronoi_cell(validate(gram))
 
 
+def test_cell_scales_its_constraints_once_for_the_sweep_and_once_for_the_checks(monkeypatch):
+    calls = count_calls(monkeypatch, polytope, "_integer_constraints")
+    lat = validate([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+    cell = voronoi_cell(lat)
+    assert second_moment(lat) == F(3, 8) and volume(cell) == 1
+    assert len(star_triangulation(cell)) == 2 * len(cell._star)
+    assert len(calls) == 2
+
+
 def test_rank_whose_box_corners_exceed_the_vertex_budget_is_refused_first(monkeypatch):
     # double description starts from 2^g corners: Z^17 holds 131 072
     # at once, so it is refused before the 2^17 - 1 coset searches
@@ -398,13 +408,15 @@ def _cartan(n, bonds):
     return gram
 
 
-def _check_cell(gram, moment, facets, vertices):
+def _check_cell(gram, moment, facets, vertices, root_lattice=True):
     lat = validate(gram)
     cell = voronoi_cell(lat)
     assert len(cell.halfspaces) == facets
     assert len(cell.vertices) == vertices
     assert volume(cell) == 1
     assert second_moment(lat) == moment
+    if root_lattice:  # gram is a Cartan matrix
+        assert second_moment(lat) == oracle_chamber_moment(gram)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
@@ -416,7 +428,7 @@ def test_gold_root_lattice_a(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_gold_cubic_lattice(n):
     z_n = [[int(i == j) for j in range(n)] for i in range(n)]
-    _check_cell(z_n, F(n, 12), 2 * n, 2**n)
+    _check_cell(z_n, F(n, 12), 2 * n, 2**n, root_lattice=False)
 
 
 def test_gold_root_lattice_d4():
@@ -425,6 +437,11 @@ def test_gold_root_lattice_d4():
 
 def test_gold_root_lattice_d5():
     _check_cell(_cartan(5, [(0, 1), (1, 2), (2, 3), (2, 4)]), F(1, 2), 40, 42)
+
+
+def test_gold_root_lattice_d6():
+    # no literature value at hand: the chamber oracle gives 4/7
+    _check_cell(_cartan(6, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5)]), F(4, 7), 60, 76)
 
 
 def test_gold_root_lattice_e6():

@@ -184,9 +184,14 @@ def test_shifted0_minimum_at_minus_kappa():
             assert trop_theta_norm_shifted0(lat, kappa, p) >= floor_min
 
 
-def test_non_two_torsion_shift_warns():
-    with pytest.warns(UserWarning):
-        trop_theta_shifted(A2, (F(1, 3), F(0)), (F(0), F(0)))
+@pytest.mark.parametrize("shifted", [
+    trop_theta_shifted, trop_theta_shifted0, trop_theta_norm_shifted0,
+], ids=lambda f: f.__name__)
+def test_non_two_torsion_shift_warns(shifted):
+    with pytest.warns(UserWarning) as record:
+        shifted(A2, (F(1, 3), F(0)), (F(0), F(0)))
+    # the warning points at this call, not into the library
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_torus_reduce():
