@@ -22,10 +22,10 @@ pairs, so the polytope before each step is symmetric: the vertices cut on
 -u are the negations of those cut on u, and are tight on the mirror of
 their mask (each facet bit sent to that of its negation).  A vertex is kept
 when its slacks s on u and 2 b_k w - s on -u are both >= 0, so the edges
-are searched once per pair.  No vertex is converted to Q before the sweep
-ends.  The sweep may hold at most VERTEX_BUDGET vertices at once; a rank
-whose 2^g start corners already exceed it is refused before the relevant
-vectors are searched.
+are searched once per pair.  Only ``Polytope.vertices`` is in Q.  The
+sweep may hold at most VERTEX_BUDGET vertices at once; a rank whose 2^g
+start corners already exceed it is refused before the relevant vectors
+are searched.
 
 Volumes and moments are computed in coordinate Lebesgue measure over a
 star triangulation: origin cone over facet triangulations, each face
@@ -52,14 +52,14 @@ norms of the vertices and one Gram product per simplex, and no table of
 vertex pairs.  Each cell is scaled to integers and validated once, and its
 integer sums are divided once, at the end.
 
-Each fact about a cell is checked once, in integers: ``Polytope`` checks
-its vertices and builds ``_facets``, ``_negation`` (the index of -v, or
-None) and ``_mirror`` (``_mirrors`` of its integer rows), and the half star
-reads them: it checks that every half-space supports a facet, that the
-vertices are closed under negation, that ``_mirror`` pairs every
-half-space, and that no simplex is flat.
-The cell is then full-dimensional (0 is the midpoint of v and -v) and
-every pair adds a positive volume, so nothing else checks either.
+Each fact about a cell is checked once, in integers: ``Polytope._index``
+checks its vertices and builds ``_facets``, ``_negation`` (the index of -v,
+or None) and ``_mirror`` (``_mirrors`` of its integer rows), and the half
+star reads them: it checks that every half-space supports a facet, that the
+vertices are closed under negation, that ``_mirror`` pairs every half-space,
+and that no simplex is flat.  The cell is then full-dimensional (0 is the
+midpoint of v and -v) and every pair adds a positive volume, so nothing
+else checks either.
 
 Each lattice keeps the cell ``voronoi_cell`` built for it, and each cell
 keeps its half star, so ``volume``, ``second_moment`` and
@@ -74,7 +74,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 from operator import mul
 
 from . import _linalg
@@ -122,26 +122,35 @@ class HalfSpace:
             raise ValueError("half-space offset must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Polytope:
-    """H- and V-representation.  ``__post_init__`` validates the vertices in
-    one pass, keeping them as integer rows ``_scaled`` over one denominator
-    ``_den``, each half-space's tight vertices as the bitmask ``_facets[k]``
-    (bit i for vertex i), the index ``_negation[i]`` of -v_i (or None) and
-    ``_mirror = _mirrors(a, b)``.  The half star reads them and checks the
-    rest (see the module)."""
+    """H- and V-representation.  ``_index``, the one check, validates the
+    vertices as integer rows ``_scaled`` over one denominator ``_den`` and
+    keeps each half-space's tight vertices as the bitmask ``_facets[k]`` (bit
+    i for vertex i), the index ``_negation[i]`` of -v_i (or None) and
+    ``_mirror = _mirrors(a, b)``.  ``Polytope(halfspaces, vertices)`` scales
+    its vertices for it, and ``voronoi_cell`` hands it the rows of double
+    description.  The half star reads them and checks the rest."""
 
     halfspaces: tuple[HalfSpace, ...]
     vertices: tuple[tuple[Fraction, ...], ...]
 
-    def __post_init__(self):
-        dim = len(self.halfspaces[0].row)
-        flat, den = _linalg.integer_row([c for v in self.vertices for c in v])
-        scaled = tuple(tuple(flat[i:i + dim]) for i in range(0, len(flat), dim))
-        a, b = _integer_constraints(self.halfspaces)
+    def __init__(self, halfspaces, vertices):
+        dim = len(halfspaces[0].row) if halfspaces else 0
+        if not dim or any(len(hs.normal) != dim or len(hs.row) != dim for hs in halfspaces):
+            raise ValueError("half-spaces must be nonempty and of one dimension")
+        if any(len(v) != dim for v in vertices):
+            raise ValueError(f"every vertex must have {dim} coordinates")
+        flat, den = _linalg.integer_row([c for v in vertices for c in v])
+        scaled = [tuple(flat[i:i + dim]) for i in range(0, len(flat), dim)]
+        self._index(halfspaces, scaled, den, *_integer_constraints(halfspaces))
+
+    def _index(self, halfspaces, scaled, den, a, b):
+        dim = len(a[0])
+        vertices = tuple(tuple(Fraction(c, den) for c in x) for x in scaled)
         constraints = [(row, off * den) for row, off in zip(a, b)]
         facets = [0] * len(constraints)
-        for i, (v, x) in enumerate(zip(self.vertices, scaled)):
+        for i, (v, x) in enumerate(zip(vertices, scaled)):
             tight = 0
             for k, (row, off) in enumerate(constraints):
                 val = sum(map(mul, row, x))
@@ -155,12 +164,10 @@ class Polytope:
         index = {x: i for i, x in enumerate(scaled)}
         if len(index) != len(scaled):
             raise ValueError("vertex list has duplicates")
-        object.__setattr__(self, "_scaled", scaled)
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_facets", tuple(facets))
         negation = tuple(index.get(tuple(-c for c in x)) for x in scaled)
-        object.__setattr__(self, "_negation", negation)
-        object.__setattr__(self, "_mirror", _mirrors(a, b))
+        self.__dict__.update(
+            halfspaces=halfspaces, vertices=vertices, _scaled=tuple(scaled), _den=den,
+            _facets=tuple(facets), _negation=negation, _mirror=_mirrors(a, b))
 
     @property
     def dim(self) -> int:
@@ -185,10 +192,11 @@ def _mirrors(a, b) -> list[int | None]:
     return [index.get((tuple(-c for c in row), off)) for row, off in zip(a, b)]
 
 
-def _vertices_dd(a, b, g) -> set[tuple[Fraction, ...]]:
+def _vertices_dd(a, b, g) -> tuple[list[tuple[int, ...]], int]:
     """Double description from the parallelotope of g independent facet pairs,
     on primitive integer homogeneous vertices (x, w) with w > 0.  The facets
-    must come in pairs: a_k' = -a_k, b_k' = b_k."""
+    must come in pairs: a_k' = -a_k, b_k' = b_k.  Returns ``(rows, den)``:
+    the sorted rows x den / w, den = lcm of the w, in the order of the x / w."""
     # mirror[k]: the facet of -u, so -v is tight on mirror(mask of v).
     mirror = _mirrors(a, b)
     start: list[int] = []
@@ -251,7 +259,8 @@ def _vertices_dd(a, b, g) -> set[tuple[Fraction, ...]]:
             next_verts += [v, tuple(-c for c in v[:g]) + (v[g],)]
             next_masks += [mask, sum(1 << mirror[j] for j in _bits(mask))]
         verts, masks = next_verts, next_masks
-    return {tuple(Fraction(c, v[g]) for c in v[:g]) for v in verts}
+    den = lcm(*{v[g] for v in verts})
+    return sorted(tuple(c * (den // v[g]) for c in v[:g]) for v in verts), den
 
 
 def _bits(mask: int):
@@ -286,8 +295,9 @@ def _build_cell(lat: GramLattice) -> Polytope:
             offset=Fraction(sum(map(mul, u, au)), 2 * lat._den),
         ))
     a, b = _integer_constraints(halfspaces)
-    verts = _vertices_dd(a, b, lat.rank)
-    return Polytope(halfspaces=tuple(halfspaces), vertices=tuple(sorted(verts)))
+    cell = Polytope.__new__(Polytope)
+    cell._index(tuple(halfspaces), *_vertices_dd(a, b, lat.rank), a, b)
+    return cell
 
 
 def _star_facet_simplices(poly: Polytope) -> tuple[tuple[tuple[int, ...], int], ...]:

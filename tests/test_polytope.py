@@ -350,13 +350,13 @@ def test_cell_is_kept_on_its_lattice_only_after_a_build_within_budget(monkeypatc
     assert cell == voronoi_cell(validate(gram)) and cell is not voronoi_cell(validate(gram))
 
 
-def test_cell_scales_its_constraints_once_for_the_sweep_and_once_for_the_checks(monkeypatch):
+def test_cell_scales_its_constraints_once_for_the_sweep_and_the_checks(monkeypatch):
     calls = count_calls(monkeypatch, polytope, "_integer_constraints")
     lat = validate([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
     cell = voronoi_cell(lat)
     assert second_moment(lat) == F(3, 8) and volume(cell) == 1
     assert len(star_triangulation(cell)) == 2 * len(cell._star)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_rank_whose_box_corners_exceed_the_vertex_budget_is_refused_first(monkeypatch):
@@ -394,6 +394,29 @@ def test_polytope_rejects_duplicate_vertex():
     corner = (F(1, 2), F(1, 2))
     with pytest.raises(ValueError, match="duplicates"):
         Polytope(halfspaces=cell.halfspaces, vertices=(corner, corner))
+
+
+def test_polytope_rejects_no_halfspaces():
+    with pytest.raises(ValueError, match="half-spaces must be nonempty"):
+        Polytope(halfspaces=(), vertices=())
+
+
+def test_polytope_rejects_halfspaces_of_mixed_length():
+    cell = voronoi_cell(ID2)
+    long_row = HalfSpace(normal=(1,), row=(F(1), F(0)), offset=F(1, 2))
+    wide = HalfSpace(normal=(1, 0, 0), row=(F(1), F(0), F(0)), offset=F(1, 2))
+    for extra in (long_row, wide):
+        with pytest.raises(ValueError, match="of one dimension"):
+            Polytope(halfspaces=cell.halfspaces + (extra,), vertices=cell.vertices)
+
+
+def test_polytope_rejects_vertex_of_wrong_length():
+    # the square cell of Z^2 with its eight coordinates regrouped: read in
+    # pairs they are its four corners, but no vertex has two coordinates
+    cell = voronoi_cell(ID2)
+    h = F(1, 2)
+    with pytest.raises(ValueError, match="every vertex must have 2 coordinates"):
+        Polytope(halfspaces=cell.halfspaces, vertices=((h,), (h, h, -h), (-h, -h, -h), (h,)))
 
 
 # Gold values from Conway & Sloane, "Voronoi regions of lattices, second
@@ -457,6 +480,31 @@ def test_gold_root_lattice_e7():
     _check_cell(e7, F(163, 288), 126, 632)
 
 
+RATIONAL_RANK4 = [[2, F(1, 3), 0, F(1, 2)], [F(1, 3), F(3, 2), F(-1, 5), 0],
+                  [0, F(-1, 5), 1, F(1, 7)], [F(1, 2), 0, F(1, 7), F(5, 3)]]
+
+
+def test_cell_from_double_description_equals_the_public_constructor():
+    # voronoi_cell hands double description's integer rows to Polytope._index,
+    # and Polytope(halfspaces, vertices) scales Fractions for it: same cell
+    grams = [_cartan(n, [(i, i + 1) for i in range(n - 1)]) for n in range(2, 8)]
+    grams += [_cartan(4, [(0, 1), (1, 2), (1, 3)]),
+              _cartan(5, [(0, 1), (1, 2), (2, 3), (2, 4)]),
+              _cartan(6, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5)]),
+              _cartan(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)]),
+              _cartan(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6)]),
+              RATIONAL_RANK4]
+    rng = random.Random(17)
+    grams += [random_pd_gram(rng, max_rank=4) for _ in range(20)]
+    for gram in grams:
+        cell = voronoi_cell(validate(gram))
+        assert cell.vertices == tuple(sorted(cell.vertices))
+        public = Polytope(cell.halfspaces, cell.vertices)
+        assert public == cell
+        for name in ("_scaled", "_den", "_facets", "_negation", "_mirror"):
+            assert getattr(public, name) == getattr(cell, name), name
+
+
 @pytest.mark.parametrize("gram, dependent_start", [
     ([[7]], False),
     # the six pairs of A3 are the edges of K4, and a triangle of them is
@@ -481,5 +529,7 @@ def test_cell_vertices_do_not_depend_on_the_start(gram, dependent_start):
         firsts = list({frozenset((tuple(a[k]), tuple(-c for c in a[k]))): a[k]
                        for k in order}.values())
         skipped |= oracle_rank(firsts[:g]) < g
-        assert polytope._vertices_dd([a[k] for k in order], [b[k] for k in order], g) == expected
+        rows, den = polytope._vertices_dd([a[k] for k in order], [b[k] for k in order], g)
+        assert {tuple(F(c, den) for c in r) for r in rows} == expected
+        assert rows == sorted(rows)
     assert skipped == dependent_start
