@@ -1,12 +1,16 @@
 """Metric graphs: length, effective resistance, the tau invariant, and
 cycle-space Gram matrices.
 
-Resistances are computed exactly: edges are subdivided at the interior
-query points, the weighted graph Laplacian (conductance 1/length) is
-grounded at one node q, scaled to integers row by row, and inverted by
-one fraction-free integer solve: the Green's function G, integer numerators
-over one determinant, with r(p, q) = G(p, p) and
-r(a, b) = G(a, a) + G(b, b) - 2 G(a, b).  The tau invariant is
+Queries are split by blocks (biconnected components): tau is additive
+over one-point unions (Cinkir, The tau constant of metrized graphs and
+its behavior under graph operations, Electron. J. Combin. 18 (2011)),
+and resistance adds in series over the blocks a path crosses.  In a
+block, edges are subdivided at the interior query points, the weighted
+Laplacian (conductance 1/length) is grounded at one node q, scaled to
+integers row by row, and inverted by one fraction-free integer solve:
+the Green's function G, integer numerators over one determinant, with
+r(p, q) = G(p, p) and r(a, b) = G(a, a) + G(b, b) - 2 G(a, b).  The tau
+invariant is
 
     tau = (1/2) integral of r(x, q) d mu_can(x),
 
@@ -16,9 +20,9 @@ each vertex p and density (1 - F_e)/L_e on each edge e, with Foster
 coefficient F_e = r(e-, e+)/L_e.  On an edge, r(., q) is the linear
 interpolation of its endpoint values plus (1 - F_e) t (L_e - t)/L_e, so
 the edge contributes (1 - F_e)((r(e-,q) + r(e+,q))/2 + L_e (1 - F_e)/6).
-The result does not depend on the base point q.  ``_network`` is the only
-place where query points become nodes: it validates each point and cuts
-the edges at the interior ones.
+The result does not depend on the base point q.  ``_place`` validates
+each query point and ``_network`` is the only place where points become
+nodes: it cuts a block's edges at the interior ones.
 
 The cycle space of the graph carries the Gram matrix
 
@@ -26,15 +30,16 @@ The cycle space of the graph carries the Gram matrix
 
 over an integral cycle basis built from a deterministic DFS spanning
 tree.  ``_spanning_tree`` is the only graph walk: the same DFS checks that
-the graph is connected and gives the cycle basis its tree paths.  The
-normalized second moment of the cycle lattice is basis-independent and
-satisfies the identity I = length/8 - tau/2, which couples this module
-against the lattice/polytope pipeline through two unrelated computations;
-the residual of that identity is exposed here.
+the graph is connected and gives the cycle basis and the block labels
+their tree paths.  The normalized second moment of the cycle lattice is
+basis-independent and satisfies the identity I = length/8 - tau/2, which
+couples this module against the lattice/polytope pipeline through two
+unrelated computations; the residual of that identity is exposed here.
 
-Each graph keeps its Jacobian lattice (and through it the lattice's
-Voronoi cell) and its tau at the default base point, vertex 0; both live
-as long as the graph.  tau at any other base point is computed afresh.
+Each graph keeps its spanning tree, its blocks with their node numbering,
+its Jacobian lattice (and through it the lattice's Voronoi cell) and its
+tau at vertex 0 for as long as it lives; tau at any other base point is
+computed afresh.
 """
 
 from __future__ import annotations
@@ -79,6 +84,8 @@ class Edge:
     length: Fraction
 
     def __post_init__(self):
+        if not isinstance(self.length, (int, Fraction)):
+            raise ValueError(f"edge length {self.length!r} rejected; use an int or a Fraction")
         if self.length <= 0:
             raise ValueError("edge lengths must be positive")
 
@@ -103,8 +110,43 @@ class MetricGraph:
             if not (0 <= e.tail < self.vertex_count
                     and 0 <= e.head < self.vertex_count):
                 raise ValueError(f"edge endpoint out of range: {e}")
-        if len(_spanning_tree(self)) != self.vertex_count:
+        if len(self._tree) != self.vertex_count:
             raise DisconnectedGraphError("graph is not connected")
+
+    @cached_property
+    def _tree(self) -> dict[int, tuple[int, int] | None]:
+        return _spanning_tree(self)
+
+    @cached_property
+    def _blocks(self):
+        """(block of each edge, tree depth of each vertex, blocks): each
+        block, keyed by one of its edges, as (its vertices numbered in order
+        of first appearance, its edges as (index, local tail, local head,
+        length))."""
+        tree = self._tree
+        depth = {0: 0}
+        for w, (v, _) in list(tree.items())[1:]:
+            depth[w] = depth[v] + 1
+        # union-find over edges: an edge joins the tree edges of the tree
+        # path between its ends (none for a loop, itself for a tree edge)
+        up = list(range(len(self.edges)))
+
+        def find(i):
+            while up[i] != i:
+                up[i] = up[up[i]]
+                i = up[i]
+            return i
+
+        for idx, e in enumerate(self.edges):
+            for step, _, _ in _tree_path(tree, depth, e.tail, e.head):
+                up[find(step)] = find(idx)
+        label = [find(idx) for idx in range(len(self.edges))]
+        blocks: dict[int, tuple[dict[int, int], list]] = {}
+        for idx, e in enumerate(self.edges):
+            local, edges = blocks.setdefault(label[idx], ({}, []))
+            t = local.setdefault(e.tail, len(local))
+            edges.append((idx, t, local.setdefault(e.head, len(local)), e.length))
+        return label, depth, blocks
 
     @cached_property
     def _tau(self) -> Fraction:
@@ -125,9 +167,12 @@ class MetricGraph:
 
 def make_graph(vertex_count: int, edges) -> MetricGraph:
     """Convenience constructor from (tail, head, length) triples."""
+    # From a list: tuple() of a generator resizes its tuple, and on CPython
+    # 3.11 each resize parks one more tuple in the free lists (about 100 B
+    # of RSS per graph built, until the lists fill).
     return MetricGraph(
         vertex_count=vertex_count,
-        edges=tuple(Edge(t, h, Fraction(l)) for t, h, l in edges),
+        edges=tuple([Edge(t, h, Fraction(l)) for t, h, l in edges]),
     )
 
 
@@ -135,51 +180,54 @@ def total_length(graph: MetricGraph) -> Fraction:
     return sum((e.length for e in graph.edges), Fraction(0))
 
 
-def _network(graph: MetricGraph, points):
-    """The graph with its edges cut at the given points (vertex ids or
-    GraphPoints), as (edge triples, node count, node id of each point).
+def _place(graph: MetricGraph, point):
+    """A valid query point (vertex id or GraphPoint) as a vertex id, or as
+    (edge index, offset) strictly inside the edge."""
+    if isinstance(point, int):
+        if not 0 <= point < graph.vertex_count:
+            raise ValueError(f"vertex id {point} out of range")
+        return point
+    if not 0 <= point.edge < len(graph.edges):
+        raise ValueError(f"edge index {point.edge} out of range")
+    e = graph.edges[point.edge]
+    off = Fraction(point.offset)
+    if not 0 <= off <= e.length:
+        raise ValueError("offset is outside the edge")
+    if off == 0:
+        return e.tail
+    if off == e.length:
+        return e.head
+    return point.edge, off
 
-    A point at offset 0 or at the edge's length is that endpoint, and
-    points at the same place share one node.  New nodes are numbered after
-    the vertices in edge order, then offset order; uncut edges pass
-    through as they are.
+
+def _network(graph: MetricGraph, block: int, places):
+    """A block with its edges cut at the given places (from ``_place``, all
+    in the block), as (edge triples, node count, node id of each place).
+
+    Places at the same point share one node.  New nodes are numbered after
+    the block's vertices in edge order, then offset order; uncut edges
+    pass through as they are.
     """
-    ids: list = []
+    local, block_edges = graph._blocks[2][block]
     cuts: dict[int, set[Fraction]] = {}
-    for point in points:
-        if isinstance(point, int):
-            if not 0 <= point < graph.vertex_count:
-                raise ValueError(f"vertex id {point} out of range")
-            ids.append(point)
-            continue
-        if not 0 <= point.edge < len(graph.edges):
-            raise ValueError(f"edge index {point.edge} out of range")
-        e = graph.edges[point.edge]
-        off = Fraction(point.offset)
-        if not 0 <= off <= e.length:
-            raise ValueError("offset is outside the edge")
-        if off == 0:
-            ids.append(e.tail)
-        elif off == e.length:
-            ids.append(e.head)
-        else:
-            cuts.setdefault(point.edge, set()).add(off)
-            ids.append((point.edge, off))
-    nodes = graph.vertex_count
+    for x in places:
+        if not isinstance(x, int):
+            cuts.setdefault(x[0], set()).add(x[1])
+    nodes = len(local)
     edges: list[tuple[int, int, Fraction]] = []
     node_of: dict[tuple[int, Fraction], int] = {}
-    for idx, e in enumerate(graph.edges):
+    for idx, t, h, length in block_edges:
         if idx not in cuts:
-            edges.append((e.tail, e.head, e.length))
+            edges.append((t, h, length))
             continue
-        prev_node, prev_off = e.tail, Fraction(0)
+        prev_node, prev_off = t, Fraction(0)
         for off in sorted(cuts[idx]):
             node_of[idx, off] = nodes
             edges.append((prev_node, nodes, off - prev_off))
             prev_node, prev_off = nodes, off
             nodes += 1
-        edges.append((prev_node, e.head, e.length - prev_off))
-    return edges, nodes, [node_of[x] if isinstance(x, tuple) else x for x in ids]
+        edges.append((prev_node, h, length - prev_off))
+    return edges, nodes, [local[x] if isinstance(x, int) else node_of[x] for x in places]
 
 
 def _green(edges, node_count: int, ground: int, sources) -> tuple[list[list[int]], int]:
@@ -219,23 +267,46 @@ def _green(edges, node_count: int, ground: int, sources) -> tuple[list[list[int]
 
 
 def effective_resistance(graph: MetricGraph, p, q) -> Fraction:
-    """Effective resistance between two points (vertex ids or GraphPoints)."""
-    edges, node_count, (a, b) = _network(graph, [p, q])
-    if a == b:
-        return Fraction(0)
-    (row,), det = _green(edges, node_count, b, [a])
-    return Fraction(row[a], det)
+    """Effective resistance between two points (vertex ids or GraphPoints).
+
+    Blocks meet at cut vertices, so resistance adds in series over the
+    blocks that a path crosses (as in Cinkir 2011).  The spanning-tree path
+    from p to q is grouped by block, and each block gets one solve between
+    the nodes where the path enters and leaves it.
+    """
+    label, depth, _ = graph._blocks
+    p, q = _place(graph, p), _place(graph, q)
+    a, b = (x if isinstance(x, int) else graph.edges[x[0]].tail for x in (p, q))
+    # the path p, a, ..., b, q as (block, node, next node) steps
+    steps = [(label[idx], x, y) for idx, x, y in _tree_path(graph._tree, depth, a, b)]
+    if not isinstance(p, int):
+        steps.insert(0, (label[p[0]], p, a))
+    if not isinstance(q, int):
+        steps.append((label[q[0]], b, q))
+    # a path never re-enters a block it left: blocks meet at cut vertices
+    runs: dict[int, list] = {}
+    for block, x, y in steps:
+        runs.setdefault(block, [x, y])[1] = y
+    total, total_den = 0, 1
+    for block, (x, y) in runs.items():
+        edges, node_count, (s, t) = _network(graph, block, [x, y])
+        if s != t:
+            (row,), det = _green(edges, node_count, t, [s])
+            total, total_den = total * det + row[s] * total_den, total_den * det
+    return Fraction(total, total_den)
 
 
 def tau(graph: MetricGraph, q=0) -> Fraction:
     """The tau invariant: (1/2) integral of r(x, q) d mu_can(x).
 
     Independent of the base point q (vertex id or GraphPoint); q defaults
-    to vertex 0.  A base point interior to an edge is made a node by
-    subdividing its edge; the Green's function grounded at q then gives
-    every r(p, q) and every Foster coefficient F_e = r(e-, e+) / L_e.
-    The value at vertex 0 is kept on the graph; any other base point is
-    computed afresh, so comparing base points compares independent solves.
+    to vertex 0.  tau is additive over one-point unions (Cinkir 2011), so
+    it is summed over the blocks, each with one Green's function, grounded
+    at q if the block holds q (subdividing q's edge) and at its first node
+    otherwise.  That gives every r(p, base) and every Foster coefficient
+    F_e = r(e-, e+) / L_e of the block.  The value at vertex 0 is kept on
+    the graph; any other base point is computed afresh, so comparing base
+    points compares independent solves.
     """
     if isinstance(q, int) and q == 0:
         return graph._tau
@@ -243,22 +314,48 @@ def tau(graph: MetricGraph, q=0) -> Fraction:
 
 
 def _tau_at(graph: MetricGraph, q) -> Fraction:
-    edges, node_count, (base,) = _network(graph, [q])
-    nums, det = _green(edges, node_count, base, range(node_count))
-    diag = [nums[v][v] for v in range(node_count)]  # r(v, base) = diag[v] / det
-    valence = [0] * node_count
-    total = Fraction(0)
-    for t, h, length in edges:
-        valence[t] += 1
-        valence[h] += 1
-        num, den = length.numerator, length.denominator
-        # With L = num/den and S = diag[t] + diag[h], 1 - F_e = slack / (det num),
-        # so the edge term is slack (3 den S + slack) / (6 num den det^2).
-        pair = diag[t] + diag[h]
-        slack = det * num - den * (pair - 2 * nums[t][h])
-        total += Fraction(slack * (3 * den * pair + slack), 6 * num * den * det * det)
-    total += Fraction(sum((2 - val) * d for val, d in zip(valence, diag)), 2 * det)
-    return total / 2
+    q = _place(graph, q)
+    label, _, blocks = graph._blocks
+    total, total_den = 0, 1  # tau = total / (2 total_den)
+    for block, (local, _) in blocks.items():
+        holds = q in local if isinstance(q, int) else label[q[0]] == block
+        edges, node_count, (base,) = _network(graph, block, [q if holds else next(iter(local))])
+        nums, det = _green(edges, node_count, base, range(node_count))
+        diag = [nums[v][v] for v in range(node_count)]  # r(v, base) = diag[v] / det
+        # the vertex terms are vertex_sum / (2 det), with the sum over v of
+        # (2 - val(v)) diag[v] taken as 2 sum(diag) minus each edge's pair;
+        # the edge terms are edge_sum / (6 m det^2)
+        vertex_sum, edge_sum, m = 2 * sum(diag), 0, 1
+        for t, h, length in edges:
+            num, den = length.numerator, length.denominator
+            # With L = num/den and S = diag[t] + diag[h], 1 - F_e = slack / (det num),
+            # so the edge term is slack (3 den S + slack) / (6 num den det^2).
+            pair = diag[t] + diag[h]
+            slack = det * num - den * (pair - 2 * nums[t][h])
+            vertex_sum -= pair
+            w = lcm(m, num * den)
+            edge_sum = edge_sum * (w // m) + slack * (3 * den * pair + slack) * (w // (num * den))
+            m = w
+        block_den = 6 * m * det * det
+        total = total * block_den + (edge_sum + 3 * m * det * vertex_sum) * total_den
+        total_den *= block_den
+    return Fraction(total, 2 * total_den)
+
+
+def _tree_path(tree, depth, a: int, b: int) -> list[tuple[int, int, int]]:
+    """The path from vertex a to vertex b in the spanning tree (parent
+    links and depths), as (edge index, node, next node) steps."""
+    head, tail = [], []
+    while a != b:
+        if depth[a] >= depth[b]:
+            v, idx = tree[a]
+            head.append((idx, a, v))
+            a = v
+        else:
+            v, idx = tree[b]
+            tail.append((idx, v, b))
+            b = v
+    return head + tail[::-1]
 
 
 def _spanning_tree(graph: MetricGraph) -> dict[int, tuple[int, int] | None]:
@@ -288,7 +385,7 @@ def cycle_basis(graph: MetricGraph) -> list[list[int]]:
     one coefficient vector per independent cycle."""
     # path[v]: the signed tree path from the root 0 to v, as edge coefficients
     path = {0: [0] * len(graph.edges)}
-    for w, (v, idx) in list(_spanning_tree(graph).items())[1:]:
+    for w, (v, idx) in list(graph._tree.items())[1:]:
         path[w] = path[v][:]
         path[w][idx] = 1 if graph.edges[idx].tail == v else -1
     basis: list[list[int]] = []

@@ -18,6 +18,8 @@ F_ID2 = {"rank": 2, "gram": [[1, 0], [0, 1]]}
 F_A2 = {"rank": 2, "gram": [[2, 1], [1, 2]]}
 F_CIRCLE12 = {"vertices": 1, "edges": [{"tail": 0, "head": 0, "length": 12}]}
 F_THETA = {"vertices": 2, "edges": [{"tail": 0, "head": 1, "length": n} for n in (1, 2, 3)]}
+F_LOOPS_BRIDGE = {"vertices": 2, "edges": [{"tail": t, "head": h, "length": n}
+                                           for t, h, n in ((0, 0, 3), (1, 1, "5/4"), (0, 1, 2))]}
 F_PLACES = {"degree": 1, "nonarch": [{"ord_delta": 1, "log_nv": 1.0}],
             "arch": [{"tau_re": 0.1, "tau_im": 1.2}]}
 NERON_ARCH = ("neron", "--q-re", "0.1", "--q-im", "0", "--z-re", "0.5", "--z-im", "0.1")
@@ -135,6 +137,19 @@ def test_graph_builds_one_cell_and_one_green_function(tmp_path, capsys, monkeypa
     payload = json.loads(out)
     assert (payload["betti"], payload["I"], payload["remarkable_residual"]) == (2, "6/11", "0")
     assert (len(dd), len(green)) == (1, 1)
+
+
+def test_graph_solves_once_per_block(tmp_path, capsys, monkeypatch):
+    # two loops and the bridge between them: three blocks
+    dd = count_calls(monkeypatch, polytope, "_vertices_dd")
+    green = count_calls(monkeypatch, metricgraph, "_green")
+    path = write(tmp_path, "loops_bridge.json", F_LOOPS_BRIDGE)
+    code, out = run_cli(capsys, "graph", "--input", path)
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["betti"], payload["tau"], payload["I"]) == (2, "41/48", "17/48")
+    assert payload["remarkable_residual"] == "0"
+    assert (len(dd), len(green)) == (1, 3)
 
 
 def _run_alone(*argv) -> str:

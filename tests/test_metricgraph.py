@@ -12,6 +12,7 @@ from conftest import (
     oracle_resistance,
     oracle_tau,
     random_connected_multigraph,
+    random_rational,
     segment,
     star3,
     theta_graph,
@@ -334,3 +335,93 @@ def test_bouquet_diagonal_lattice():
         for j in range(6):
             assert lat.gram[i][j] == (F(i + 1, 2) if i == j else 0)
     assert moment_identity_residual(g) == 0
+
+
+def _glued_graph(rng):
+    """A seeded graph of blocks meeting at cut vertices, with the tau of
+    each of its parts: a K4 and random multigraphs glued at a vertex or
+    joined by a bridge, then a pendant tree and loops hung on."""
+    edges, parts = [], []
+    count = 1
+
+    def attach(part, at):
+        # the part's vertex 0 becomes vertex ``at``; its others are new
+        nonlocal count
+        ids = [at] + list(range(count, count + part.vertex_count - 1))
+        count += part.vertex_count - 1
+        edges.extend((ids[e.tail], ids[e.head], e.length) for e in part.edges)
+        parts.append(oracle_tau(part))
+
+    attach(k4([random_rational(rng) for _ in range(6)]), 0)
+    for _ in range(2):
+        part = random_connected_multigraph(rng, max_edges=5)
+        at = rng.randrange(count)
+        if rng.random() < 0.5:  # a bridge from ``at`` to a new vertex
+            length = random_rational(rng)
+            edges.append((at, count, length))
+            parts.append(length / 4)
+            at, count = count, count + 1
+        attach(part, at)
+    for _ in range(rng.randint(1, 3)):  # the pendant tree
+        length = random_rational(rng)
+        edges.append((rng.randrange(count), count, length))
+        parts.append(length / 4)
+        count += 1
+    for _ in range(rng.randint(1, 2)):
+        length = random_rational(rng)
+        v = rng.randrange(count)
+        edges.append((v, v, length))
+        parts.append(length / 12)
+    return make_graph(count, edges), sum(parts)
+
+
+def _glued_graphs():
+    rng = random.Random(20261019)
+    return [_glued_graph(rng) for _ in range(6)]
+
+
+def test_tau_is_the_sum_over_glued_parts():
+    # tau is additive over one-point unions: a segment adds L/4, a loop L/12
+    for g, parts in _glued_graphs():
+        inner = GraphPoint(len(g.edges) - 1, g.edges[-1].length / 3)
+        assert oracle_tau(g, inner) == parts
+        for q in [*range(g.vertex_count), inner]:
+            assert tau(g, q) == parts, (g, q)
+
+
+def test_resistance_across_glued_blocks_matches_oracle():
+    for g, _ in _glued_graphs():
+        last = g.vertex_count - 1
+        pairs = [(p, q) for p in range(last) for q in range(p + 1, g.vertex_count)]
+        inner = [GraphPoint(idx, e.length / 3) for idx, e in enumerate(g.edges)]
+        pairs += [(p, q) for p, q in zip(inner, inner[1:] + [last, 0])]
+        for p, q in pairs:
+            assert effective_resistance(g, p, q) == oracle_resistance(g, p, q), (g, p, q)
+
+
+def test_each_solve_covers_one_block(monkeypatch):
+    # three K4s in a chain, meeting at vertices 3 and 6, and a pendant tree
+    edges = []
+    for start in (0, 3, 6):
+        quad = range(start, start + 4)
+        edges += [(a, b, F(a + b + 1, 3)) for a in quad for b in quad if a < b]
+    edges += [(9, 10, F(1, 2)), (10, 11, 2), (10, 12, F(5, 7))]
+    g = make_graph(13, edges)
+    calls = count_calls(monkeypatch, metricgraph, "_green")
+    expected = tau(g, 5)
+    assert len(calls) == 6  # three K4s and three bridges
+    assert expected == oracle_tau(g)
+    assert effective_resistance(g, 1, 12) == oracle_resistance(g, 1, 12)
+    assert len(calls) == 6 + 5  # crosses the three K4s and two bridges
+    assert effective_resistance(g, 4, 5) == oracle_resistance(g, 4, 5)
+    assert len(calls) == 6 + 5 + 1
+    assert max(node_count - 1 for _, node_count, _, _ in calls) == 3
+
+
+def test_float_edge_length_rejected():
+    for length in (1.5, 0.25):
+        with pytest.raises(ValueError, match=f"{length}.*int or a Fraction"):
+            Edge(0, 1, length)
+    assert Edge(0, 1, 3).length == 3
+    # the convenience constructor converts floats exactly
+    assert tau(make_graph(2, [(0, 1, 1.5)])) == F(3, 8)
