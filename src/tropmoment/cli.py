@@ -201,7 +201,10 @@ def _cmd_graph(args) -> dict:
 
 def _cmd_elliptic_height(args) -> dict:
     places = formats.load_places(formats.load_json_file(args.input, "heights"))
-    report = heights.height_identity_report(places, _default_terms(args))
+    try:
+        report = heights.height_identity_report(places, _default_terms(args))
+    except heights.SeriesBudgetError as exc:
+        raise DomainError("heights", f"arch[{exc.index}].tau_im", str(exc)) from None
     return {
         "lhs": report.lhs,
         "rhs": report.rhs,
@@ -257,7 +260,7 @@ def _cmd_neron(args) -> dict:
     terms = _default_terms(args)
     try:
         theta = neron.tate_theta_log_abs(q, z, terms)
-    except neron.BadModulusError as exc:
+    except (neron.BadModulusError, heights.SeriesBudgetError) as exc:
         raise DomainError("neron", "--q-re,--q-im", str(exc)) from None
     except (neron.AtDivisorError, neron.OutOfRangeError) as exc:
         raise DomainError("neron", "--z-re,--z-im", str(exc)) from None

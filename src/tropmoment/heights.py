@@ -53,6 +53,8 @@ __all__ = [
     "NonPositiveImaginaryPartError",
     "NegativeOrderError",
     "FloatRangeError",
+    "SeriesBudgetError",
+    "SERIES_TERM_BUDGET",
     "log_abs_delta",
     "arch_local_invariant",
     "nonarch_local_invariant",
@@ -66,6 +68,12 @@ KAPPA0 = math.log(math.pi * math.sqrt(2.0))
 
 DEFAULT_TERMS = 64
 _TAIL_TARGET = 1e-15
+# Most terms one q-series may sum: 10**6 Tate factor pairs take about 0.3 s.
+SERIES_TERM_BUDGET = 10**6
+# Factors multiplied before one log is taken.  Each factor 1 - w has
+# |w| <= 2, so a block of 16 (or 16 pairs) stays below 3^32, and it stays
+# far from underflow, as |1 - w| is small for at most a few w.
+_BLOCK = 16
 
 
 class NonPositiveImaginaryPartError(ValueError):
@@ -78,6 +86,14 @@ class NegativeOrderError(ValueError):
 
 class FloatRangeError(ValueError):
     """An input whose binary64 evaluation would overflow or underflow."""
+
+
+class SeriesBudgetError(ValueError):
+    """A series that would sum more than SERIES_TERM_BUDGET terms.  The sums
+    over the embeddings of :class:`EllipticPlaces` set ``index`` to the
+    position of the period that raised it."""
+
+    index: int | None = None
 
 
 class SeriesValue(NamedTuple):
@@ -169,10 +185,41 @@ def _check_tau(tau: complex) -> complex:
 def log_abs_delta(tau: complex, n_terms: int = DEFAULT_TERMS) -> SeriesValue:
     """log|delta(tau)| by the truncated q-product.
 
-    Stops early once the running tail bound 48 |q|^(n+1) / (1-|q|)^2 drops
-    below 1e-15; the bound actually achieved is returned alongside.
+    The term count is chosen first: the first n whose tail bound
+    48 |q|^(n+1) / (1-|q|)^2 drops below 1e-15, or n_terms.  The factors
+    are then multiplied in blocks of 16, with one log per block, and the
+    bound at that n is returned alongside.  A count past
+    SERIES_TERM_BUDGET raises SeriesBudgetError.
     """
     return _log_abs_delta(_check_tau(tau), n_terms)
+
+
+def _term_count(n_terms: int, estimate: float, tail) -> tuple[int, float]:
+    """``(n, tail(n))`` for the first n in 1..n_terms with
+    ``tail(n) < 1e-15``, or for n_terms if there is none: the term at which
+    the series stops, and its bound.  The search starts from ``estimate``,
+    found from logs, and steps by one, so that the bound's own expression
+    ``tail``, falling in n, decides.  A count past SERIES_TERM_BUDGET
+    raises SeriesBudgetError."""
+    cap = min(n_terms, SERIES_TERM_BUDGET + 1)
+    n = min(max(math.ceil(estimate), 1), cap)
+    bound = tail(n)
+    if bound < _TAIL_TARGET:
+        while n > 1:
+            below = tail(n - 1)
+            if not below < _TAIL_TARGET:
+                break
+            n, bound = n - 1, below
+    else:
+        while n < cap and not bound < _TAIL_TARGET:
+            n += 1
+            bound = tail(n)
+    if n > SERIES_TERM_BUDGET:
+        raise SeriesBudgetError(
+            f"the q-series needs more than its budget of {SERIES_TERM_BUDGET} "
+            "terms: |q| is too close to 1"
+        )
+    return n, bound
 
 
 # Unchecked forms for periods already checked: one warning per input.
@@ -181,16 +228,24 @@ def _log_abs_delta(tau: complex, n_terms: int) -> SeriesValue:
         raise ValueError("n_terms must be >= 1")
     q = _q_in_range(tau)
     abs_q = abs(q)
-    total = math.log(abs_q)  # = -2 pi Im tau
-    q_pow = complex(1.0)
-    tail = math.inf
-    for n in range(1, n_terms + 1):
+    gap_sq = (1.0 - abs_q) ** 2
+
+    def tail(n: int) -> float:
+        return 48.0 * abs_q ** (n + 1) / gap_sq
+
+    log_q = math.log(abs_q)  # = -2 pi Im tau
+    estimate = math.log(_TAIL_TARGET / 48.0 * gap_sq) / log_q - 1.0
+    stop, bound = _term_count(n_terms, estimate, tail)
+    total = log_q
+    q_pow = prod = complex(1.0)
+    for n in range(1, stop + 1):
         q_pow *= q
-        total += 24.0 * math.log(abs(1.0 - q_pow))
-        tail = 48.0 * abs_q ** (n + 1) / (1.0 - abs_q) ** 2
-        if tail < _TAIL_TARGET:
-            break
-    return SeriesValue(total, tail)
+        prod *= 1.0 - q_pow  # |1 - q^n| lies in [1 - |q|, 2]
+        if not n % _BLOCK:  # one log per block
+            total += 24.0 * math.log(abs(prod))
+            prod = complex(1.0)
+    total += 24.0 * math.log(abs(prod))
+    return SeriesValue(total, bound)
 
 
 def _q_in_range(tau: complex) -> complex:
@@ -245,7 +300,14 @@ def faltings_height_elliptic(
 
 def _log_deltas(places: EllipticPlaces, n_terms: int) -> list[float]:
     """log|delta(tau)| of each archimedean embedding, in input order."""
-    return [_log_abs_delta(tau, n_terms).value for tau in places.arch]
+    log_deltas = []
+    for i, tau in enumerate(places.arch):
+        try:
+            log_deltas.append(_log_abs_delta(tau, n_terms).value)
+        except SeriesBudgetError as exc:
+            exc.index = i
+            raise
+    return log_deltas
 
 
 def _faltings_height(places: EllipticPlaces, log_deltas: list[float]) -> float:

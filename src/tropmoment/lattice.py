@@ -119,7 +119,9 @@ def validate(gram) -> GramLattice:
 
 
 def _check_point(lat: GramLattice, x) -> tuple[Fraction, ...]:
-    pt = tuple(Fraction(c) for c in x)
+    # a point checked once passes again at the cost of a copy: only the
+    # coordinates that are not already Fractions are converted
+    pt = tuple(c if type(c) is Fraction else Fraction(c) for c in x)
     if len(pt) != lat.rank:
         raise DimensionMismatchError(
             f"point has length {len(pt)}, lattice rank is {lat.rank}"

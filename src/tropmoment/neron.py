@@ -32,7 +32,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .heights import _TAIL_TARGET, DEFAULT_TERMS, SeriesValue
+from .heights import _BLOCK, _TAIL_TARGET, DEFAULT_TERMS, SeriesValue, _term_count
 
 __all__ = [
     "AtDivisorError",
@@ -65,7 +65,7 @@ def b2(t):
 
     Exact on Fraction input, float on float input.
     """
-    return t * t - t + Fraction(1, 6)
+    return t * t - t + (1.0 / 6.0 if isinstance(t, float) else Fraction(1, 6))
 
 
 def _check_modulus(q: complex) -> complex:
@@ -109,10 +109,14 @@ def tate_theta_log_abs(
 ) -> SeriesValue:
     """log|theta(z)| for theta(z) = (1-z) prod (1 - q^n z)(1 - q^n / z).
 
-    The truncation tail bound is reported; the series stops early once it
-    falls below 1e-15.  A z so far from the unit circle that no factor up
-    to n_terms gives a bound raises OutOfRangeError.  In log form the
-    product satisfies
+    The term count is chosen first: the first n whose tail bound falls
+    below 1e-15, or n_terms, found from logs and settled with the bound's
+    own expression, so the reported bound is that of the term-by-term sum.
+    A count past SERIES_TERM_BUDGET raises SeriesBudgetError.  The leading
+    factors with |q^n| max(|z|, 1/|z|) > 2 each take their own log; the
+    rest are multiplied in blocks of 16 pairs, with one log per block.  A z
+    so far from the unit circle that no factor up to n_terms gives a bound
+    raises OutOfRangeError.  In log form the product satisfies
     log|theta(qz)| = log|theta(z)| - log|z|.
     """
     q = _check_modulus(q)
@@ -122,27 +126,41 @@ def tate_theta_log_abs(
         raise ValueError("n_terms must be >= 1")
     abs_q = abs(q)
     big = max(abs(z), 1.0 / abs(z))
+    z_inv = 1.0 / z
+    spread = abs(z) + abs(z_inv)
+    gap = 1.0 - abs_q
+
+    def tail(n: int) -> float:
+        power = abs_q ** (n + 1)
+        head = power * big
+        return (power * spread) / (gap * (1.0 - head)) if head < 1.0 else math.inf
+
+    log_q = math.log(abs_q)
+    estimate = (
+        math.log(_TAIL_TARGET) + math.log(gap) - math.log(spread)
+    ) / log_q - 1.0
+    stop, bound = _term_count(n_terms, estimate, tail)
+    far = min(stop, max(0, math.ceil(math.log(big / 2.0) / -log_q) - 1))
     total = math.log(abs(1.0 - z))
     q_pow = complex(1.0)
-    z_inv = 1.0 / z
-    tail = math.inf
-    for n in range(1, n_terms + 1):
+    for _ in range(far):  # |q^n z| or |q^n / z| past 2: one log per factor
         q_pow *= q
         total += math.log(abs(1.0 - q_pow * z))
         total += math.log(abs(1.0 - q_pow * z_inv))
-        head = abs_q ** (n + 1) * big
-        if head < 1.0:
-            tail = (abs_q ** (n + 1) * (abs(z) + abs(z_inv))) / (
-                (1.0 - abs_q) * (1.0 - head)
-            )
-            if tail < _TAIL_TARGET:
-                break
-    if tail == math.inf or not math.isfinite(total):
+    prod = complex(1.0)
+    for n in range(far + 1, stop + 1):
+        q_pow *= q
+        prod *= (1.0 - q_pow * z) * (1.0 - q_pow * z_inv)
+        if not n % _BLOCK:  # one log per block
+            total += math.log(abs(prod))
+            prod = complex(1.0)
+    total += math.log(abs(prod))
+    if bound == math.inf or not math.isfinite(total):
         raise OutOfRangeError(
             f"no tail bound within {n_terms} terms: |z| = {abs(z)!r} is too "
             f"far from the unit circle for |q| = {abs_q!r}"
         )
-    return SeriesValue(total, tail)
+    return SeriesValue(total, bound)
 
 
 def tate_local_height(q: complex, z: complex, n_terms: int = DEFAULT_TERMS) -> float:
@@ -158,9 +176,10 @@ def tate_local_height(q: complex, z: complex, n_terms: int = DEFAULT_TERMS) -> f
 def _local_height(q: complex, z: complex, theta: SeriesValue) -> float:
     """The local height from ``theta = tate_theta_log_abs(q, z, ...)``,
     whose call has already validated q and z."""
-    ell = -math.log(abs(q))
-    t = math.log(abs(z)) / math.log(abs(q))
-    return (ell / 2.0) * float(b2(t)) - theta.value
+    log_q = math.log(abs(q))
+    ell = -log_q
+    t = math.log(abs(z)) / log_q
+    return (ell / 2.0) * b2(t) - theta.value
 
 
 def tate_local_height_tropical(ell, nu) -> Fraction:

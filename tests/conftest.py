@@ -9,11 +9,13 @@ closest-vector oracle from a local nearest-plane point.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import isqrt, lcm
 
+from tropmoment import neron as _neron
 from tropmoment.metricgraph import Edge, MetricGraph, make_graph
 
 # ---------------------------------------------------------------------------
@@ -383,6 +385,42 @@ def oracle_tau(graph, q=0):
                   + 2 * qa * qb * length**2
                   + qb * qb * length) / 4
     return total
+
+
+# ---------------------------------------------------------------------------
+# q-series oracle: the term-by-term Tate product, two logs per term
+
+
+def oracle_tate_theta_log_abs(q, z, n_terms):
+    """(log|theta(z)|, tail bound) by the term-by-term loop: q^n formed with
+    ``**``, one log per factor, the logs summed by ``math.fsum``.  It stops
+    at the first n whose tail bound drops below 1e-15, and raises what
+    ``tate_theta_log_abs`` raises, validating q and z with its checks."""
+    q = _neron._check_modulus(q)
+    z = complex(z)
+    _neron._check_off_divisor(q, z)
+    if n_terms < 1:
+        raise ValueError("n_terms must be >= 1")
+    abs_q = abs(q)
+    big = max(abs(z), 1.0 / abs(z))
+    z_inv = 1.0 / z
+    logs = [math.log(abs(1.0 - z))]
+    tail = math.inf
+    for n in range(1, n_terms + 1):
+        q_n = q**n
+        logs.append(math.log(abs(1.0 - q_n * z)))
+        logs.append(math.log(abs(1.0 - q_n * z_inv)))
+        head = abs_q ** (n + 1) * big
+        if head < 1.0:
+            tail = (abs_q ** (n + 1) * (abs(z) + abs(z_inv))) / (
+                (1.0 - abs_q) * (1.0 - head)
+            )
+            if tail < 1e-15:
+                break
+    total = math.fsum(logs)
+    if tail == math.inf or not math.isfinite(total):
+        raise _neron.OutOfRangeError("no tail bound")
+    return total, tail
 
 
 def count_calls(monkeypatch, module, name) -> list:

@@ -478,6 +478,21 @@ def test_extreme_finite_neron_numbers_exit_2(capsys, argv, path):
     assert_structured_error(*run_cli(capsys, *argv), "DomainError", "neron", path)
 
 
+@pytest.mark.filterwarnings("ignore:Im tau < 0.1")
+def test_series_past_the_term_budget_exit_2(tmp_path, capsys):
+    # both need about 1e10 terms; each is refused before any factor
+    argv = ("neron", "--q-re", "0.99999999", "--q-im", "0", "--z-re", "-1",
+            "--z-im", "0", "--terms", "1000000000")
+    assert_structured_error(*run_cli(capsys, *argv), "DomainError", "neron",
+                            "--q-re,--q-im")
+    places = {"degree": 2, "nonarch": [],
+              "arch": [{"tau_re": 0, "tau_im": 1}, {"tau_re": 0, "tau_im": 1e-9}]}
+    file = write(tmp_path, "places.json", places)
+    code, out = run_cli(capsys, "elliptic-height", "--input", file,
+                        "--terms", "1000000000")
+    assert_structured_error(code, out, "DomainError", "heights", "arch[1].tau_im")
+
+
 @pytest.mark.parametrize("field, text, path", [
     ("tau_re", "NaN", "arch[0].tau_re"),
     ("tau_re", "1e400", "arch[0].tau_re"),

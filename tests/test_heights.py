@@ -11,10 +11,12 @@ from tropmoment import heights
 from tropmoment.heights import (
     KAPPA0,
     EllipticPlaces,
+    SERIES_TERM_BUDGET,
     FloatRangeError,
     NegativeOrderError,
     NonArchPlace,
     NonPositiveImaginaryPartError,
+    SeriesBudgetError,
     arch_local_invariant,
     faltings_height_elliptic,
     function_field_height,
@@ -32,6 +34,50 @@ def _oracle_log_abs_delta(tau: complex, n_terms: int) -> float:
     q = cmath.exp(2j * math.pi * tau)
     terms = [24.0 * math.log(abs(1.0 - q**n)) for n in range(1, n_terms + 1)]
     return math.fsum(reversed(terms)) + math.log(abs(q))
+
+
+def _oracle_delta_tail(tau: complex, n_terms: int) -> float:
+    """The bound 48 |q|^(n+1) / (1-|q|)^2 at which the term-by-term loop
+    stops: at the first n where it drops below 1e-15, or at n_terms.  |q|
+    is the package's, so that the bound compares bit for bit."""
+    abs_q = abs(heights._q_in_range(complex(tau)))
+    for n in range(1, n_terms + 1):
+        tail = 48.0 * abs_q ** (n + 1) / (1.0 - abs_q) ** 2
+        if tail < 1e-15:
+            break
+    return tail
+
+
+@pytest.mark.filterwarnings("ignore:Im tau < 0.1")
+def test_log_abs_delta_matches_term_by_term_oracle_seeded():
+    # the oracle forms q from tau as given, the package after reducing
+    # Re tau mod 1; a reduced tau keeps their q within an ulp or two
+    rng = random.Random(19)
+    for _ in range(600):
+        # |q| in [0.03, 0.9], or Im tau up to 10
+        if rng.random() < 0.7:
+            im = -math.log(rng.uniform(0.03, 0.9)) / (2 * math.pi)
+        else:
+            im = rng.uniform(0.56, 10)
+        tau = complex(rng.uniform(-0.5, 0.5), im)
+        n_terms = rng.choice([1, 2, 16, 64, 256, 2000])
+        got = log_abs_delta(tau, n_terms)
+        assert got.tail_bound == _oracle_delta_tail(tau, n_terms)
+        expected = _oracle_log_abs_delta(tau, n_terms)
+        assert abs(got.value - expected) <= 1e-13 * max(1.0, abs(expected))
+
+
+@pytest.mark.filterwarnings("ignore:Im tau < 0.1")
+def test_log_abs_delta_series_budget():
+    # Im tau = 1e-9 needs about 1e10 terms: refused before any factor
+    with pytest.raises(SeriesBudgetError):
+        log_abs_delta(1e-9j, 10**9)
+    places = EllipticPlaces(degree=2, nonarch=(), arch=(1j, 1e-9j))
+    with pytest.raises(SeriesBudgetError) as caught:
+        height_identity_report(places, 10**9)
+    assert caught.value.index == 1
+    # within the budget the same period still evaluates
+    assert log_abs_delta(1e-9j, SERIES_TERM_BUDGET).tail_bound > 1.0
 
 
 def test_log_abs_delta_self_convergence_at_i():

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import oracle_tate_theta_log_abs
+from tropmoment.heights import SERIES_TERM_BUDGET, SeriesBudgetError
 from tropmoment.lattice import validate
 from tropmoment.neron import (
     AtDivisorError,
@@ -88,6 +90,42 @@ def test_theta_outside_the_float_range_is_rejected():
     with pytest.raises(AtDivisorError, match="q\\^-300"):
         tate_theta_log_abs(0.1, 1e300 * (1 + 1e-12), 400)
     assert math.isfinite(tate_theta_log_abs(0.1, 3e300, 400).tail_bound)
+
+
+def test_theta_matches_term_by_term_oracle_seeded():
+    # |z| from the unit circle out to e^+-600, where the leading factors
+    # take their own logs; the term counts cover one, part of and many
+    # blocks, and counts too small for any tail bound
+    rng = random.Random(19)
+    for _ in range(1000):
+        q = rng.uniform(0.03, 0.9) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        if rng.random() < 0.2:
+            q = math.copysign(abs(q), q.real)  # real moduli, as in the conjugation test
+        log_r = rng.choice([0.0, rng.uniform(-1, 1), rng.uniform(-40, 40),
+                            rng.uniform(-600, 600)])
+        z = math.exp(log_r) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        n_terms = rng.choice([1, 2, 16, 64, 256, 2000])
+        try:
+            expected = oracle_tate_theta_log_abs(q, z, n_terms)
+        except ValueError as exc:
+            with pytest.raises(type(exc)):
+                tate_theta_log_abs(q, z, n_terms)
+            continue
+        got = tate_theta_log_abs(q, z, n_terms)
+        assert got.tail_bound == expected[1]
+        assert abs(got.value - expected[0]) <= 1e-13 * max(1.0, abs(expected[0]))
+
+
+def test_theta_series_budget():
+    # |q| this close to 1 needs about 4e9 terms; the count is known before
+    # any factor is formed, so the refusal is immediate
+    with pytest.raises(SeriesBudgetError):
+        tate_theta_log_abs(0.99999999, -1.0, 10**9)
+    # the same modulus within n_terms <= the budget is evaluated as before
+    series = tate_theta_log_abs(0.99999999, -1.0, 1000)
+    assert series.tail_bound > 1.0
+    # a count of exactly the budget is allowed
+    assert tate_theta_log_abs(0.99999999, -1.0, SERIES_TERM_BUDGET).tail_bound > 1e-15
 
 
 def test_lambda_periodicity_seeded():
