@@ -3,8 +3,9 @@
 Everything in this package runs at desk scale (matrix sizes bounded by the
 lattice rank plus a handful of graph nodes), so these routines optimize for
 exactness and determinism, not asymptotics.  Determinants, solves and
-the LDL form use fraction-free (Bareiss) elimination; one pass solves a
-system for every right-hand side at once.  ``int_rank`` is plain integer
+the LDL form read one fraction-free (Bareiss) forward elimination,
+``_eliminate``; a solve then finishes by fraction-free back substitution,
+for every right-hand side at once.  ``int_rank`` is plain integer
 elimination: it cross-multiplies only the rows with a nonzero entry in
 the pivot column and never divides (a Bareiss rank, which must update
 every row to keep its divisions exact, measured slower in double
@@ -26,97 +27,92 @@ class NonPositivePivot(Exception):
         self.index = index
 
 
-def int_det(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix (Bareiss elimination)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(row) for row in rows]
+def _eliminate(m: list[list[int]], n: int) -> int:
+    """Fraction-free (Bareiss) forward elimination of the first ``n``
+    columns of the integer rows ``m``, in place; longer rows carry their
+    extra entries along.  Every division is exact.  A zero pivot swaps in
+    the first lower row that is nonzero in its column; without swaps,
+    ``m[k][k]`` is the leading principal minor of order k + 1.  Returns the
+    swap sign, or 0 if the first ``n`` columns are singular."""
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
+    for k in range(n):
+        row_k = m[k]
+        if row_k[k] == 0:
             for i in range(k + 1, n):
                 if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
+                    m[k], m[i] = m[i], row_k
+                    row_k = m[k]
                     sign = -sign
                     break
             else:
                 return 0
-        pivot = m[k][k]
+        pivot = row_k[k]
+        width = len(row_k)
         for i in range(k + 1, n):
-            mik = m[i][k]
             row_i = m[i]
-            row_k = m[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
+            f = row_i[k]
+            for j in range(k + 1, width):
+                row_i[j] = (row_i[j] * pivot - f * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    return sign * m[n - 1][n - 1]
+    return sign
+
+
+def int_det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix: the swap sign times the
+    last pivot of ``_eliminate``."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [list(row) for row in rows]
+    return _eliminate(m, n) * m[n - 1][n - 1]
 
 
 def int_solve(a: list[list[int]], rhs: list[list[int]]) -> tuple[list[list[int]], int] | None:
-    """Solve a square integer system for several right-hand sides at once.
-
-    Fraction-free Gauss-Jordan (Bareiss) elimination on ``[a | b_1 ... b_k]``,
-    where ``rhs`` lists the vectors ``b_c``.  Every intermediate entry is a
-    minor of the augmented matrix, so each division is exact.  Returns
-    ``(nums, den)`` with ``den = |det(a)| > 0`` and ``x_c[i] = nums[c][i] / den``,
-    or ``None`` if the matrix is singular.
-    """
+    """Solve a square integer system for several right-hand sides at once:
+    ``_eliminate`` on ``[a | b_1 ... b_k]`` (``rhs`` lists the ``b_c``), then
+    fraction-free back substitution.  With ``d`` the last pivot, ``d x_c[i]``
+    is an integer (Cramer's rule), so each division is exact.  Returns
+    ``(nums, den)`` with ``den = |det(a)| > 0`` and ``x_c[i] = nums[c][i] /
+    den``, or ``None`` if the matrix is singular."""
     n = len(a)
-    k = len(rhs)
     m = [a[r] + [b[r] for b in rhs] for r in range(n)]
-    width = n + k
-    prev = 1
-    for p in range(n):
-        if m[p][p] == 0:
-            for i in range(p + 1, n):
-                if m[i][p] != 0:
-                    m[p], m[i] = m[i], m[p]
-                    break
-            else:
-                return None
-        row_p = m[p]
-        pivot = row_p[p]
-        for i in range(n):
-            if i == p:
-                continue
-            row_i = m[i]
-            f = row_i[p]
-            for j in range(p + 1, width):
-                row_i[j] = (row_i[j] * pivot - f * row_p[j]) // prev
-            row_i[p] = 0
-        prev = pivot
-    # Each diagonal entry is now det(a) up to the sign of the row swaps.
-    sign = 1 if prev > 0 else -1
-    nums = [[sign * m[i][n + c] for i in range(n)] for c in range(k)]
-    return nums, sign * prev
+    if not _eliminate(m, n):
+        return None
+    d = m[n - 1][n - 1] if n else 1
+    nums = []
+    for c in range(n, n + len(rhs)):
+        x = [0] * n
+        for i in range(n - 1, -1, -1):
+            row = m[i]
+            s = d * row[c]
+            for j in range(i + 1, n):
+                s -= row[j] * x[j]
+            x[i] = s // row[i]
+        nums.append(x)
+    if d < 0:
+        nums = [[-v for v in x] for x in nums]
+        d = -d
+    return nums, d
 
 
 def int_ldl(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free LDL of a symmetric integer matrix A: one Bareiss pass
-    without pivoting.  Returns ``(u, w, W)`` with ``x^T A x =
+    """Fraction-free LDL of a symmetric integer matrix A: ``_eliminate``,
+    read without row swaps.  Returns ``(u, w, W)`` with ``x^T A x =
     sum_k w[k] (sum_{j>=k} u[k][j] x_j)^2 / W``, where the pivot ``u[k][k]``
     is the leading minor ``D_{k+1}`` and ``w[k] = W / (D_k D_{k+1})``.
-    Raises :class:`NonPositivePivot` at the first pivot <= 0, before it
-    is used as a divisor."""
-    n = len(rows)
+    Raises :class:`NonPositivePivot` at the first pivot <= 0; a swap
+    happens only at a zero leading minor, so a swapped-in row is one."""
     u = [list(row) for row in rows]
+    order = u[:]
+    _eliminate(u, len(u))
     minors = [1]
-    for k in range(n):
-        row_k = u[k]
-        pivot = row_k[k]
-        if pivot <= 0:
+    for k, row in enumerate(u):
+        if row is not order[k] or row[k] <= 0:
             raise NonPositivePivot(k + 1)
-        for i in range(k + 1, n):
-            row_i = u[i]
-            f = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - f * row_k[j]) // minors[k]
-            row_i[k] = 0
-        minors.append(pivot)
-    pairs = [minors[k] * minors[k + 1] for k in range(n)]
+        minors.append(row[k])
+    pairs = [minors[k] * minors[k + 1] for k in range(len(u))]
     scale = lcm(*pairs)
     return u, [scale // p for p in pairs], scale
 

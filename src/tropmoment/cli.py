@@ -273,6 +273,9 @@ def _cmd_neron(args) -> dict:
 
 
 def _cmd_selftest(args) -> tuple[dict, int]:
+    for option in ("triples", "lattices", "graphs", "heights", "tate"):
+        if getattr(args, option) < 0:
+            raise DomainError("cli", f"--{option}", "must be >= 0")
     results = selftest.run_selftest(
         seed=args.seed,
         theta_count=args.triples,

@@ -7,8 +7,8 @@ its behavior under graph operations, Electron. J. Combin. 18 (2011)),
 and resistance adds in series over the blocks a path crosses.  In a
 block, edges are subdivided at the interior query points, the weighted
 Laplacian (conductance 1/length) is grounded at one node q, scaled to
-integers row by row, and inverted by one fraction-free integer solve:
-the Green's function G, integer numerators over one determinant, with
+integers row by row, and inverted by fraction-free elimination and back
+substitution: the Green's function G, integers over one determinant, with
 r(p, q) = G(p, p) and r(a, b) = G(a, a) + G(b, b) - 2 G(a, b).  The tau
 invariant is
 
@@ -50,7 +50,7 @@ from functools import cached_property
 from math import lcm
 
 from . import _linalg
-from .lattice import GramLattice
+from .lattice import GramLattice, _as_fraction
 from .polytope import second_moment
 
 __all__ = [
@@ -190,7 +190,7 @@ def _place(graph: MetricGraph, point):
     if not 0 <= point.edge < len(graph.edges):
         raise ValueError(f"edge index {point.edge} out of range")
     e = graph.edges[point.edge]
-    off = Fraction(point.offset)
+    off = _as_fraction(point.offset)
     if not 0 <= off <= e.length:
         raise ValueError("offset is outside the edge")
     if off == 0:
@@ -240,7 +240,8 @@ def _green(edges, node_count: int, ground: int, sources) -> tuple[list[list[int]
     at the ground.  Then r(s, ground) = G(s, s) and, for any nodes a, b,
     r(a, b) = G(a, a) + G(b, b) - 2 G(a, b).  Node v's row and right-hand
     side are scaled to integers by the lcm of the length numerators at v,
-    which leaves G unchanged; one Bareiss pass covers every source.
+    which leaves G unchanged; one fraction-free elimination, then back
+    substitution for each source.
     """
     scale = [1] * node_count
     for t, h, length in edges:

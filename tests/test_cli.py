@@ -393,6 +393,14 @@ def test_selftest_quick(capsys):
     assert len(payload["checks"]) == 8
 
 
+@pytest.mark.parametrize("option", ["--triples", "--lattices", "--graphs", "--heights", "--tate"])
+def test_selftest_rejects_a_negative_count(capsys, option):
+    code, out = run_cli(capsys, "selftest", option, "-1")
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "DomainError", "module": "cli", "path": option, "message": "must be >= 0"}
+
+
 def test_selftest_reports_foster_check():
     results = run_selftest(seed=3, theta_count=2, lattice_count=1,
                            graph_count=12, height_count=1, tate_count=1)

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from conftest import _det_int, oracle_qform, oracle_rank, oracle_solve
 from tropmoment import _linalg
 
@@ -86,3 +88,91 @@ def test_int_rank_matches_fraction_elimination():
         cases.append(_low_rank_matrix(rng, nrows, ncols, rng.randint(0, min(nrows, ncols))))
     for m in cases:
         assert _linalg.int_rank(m) == oracle_rank(m)
+
+
+def _leading_minor(a, k):
+    return _det_int([row[:k] for row in a[:k]])
+
+
+def _zero_leading_minor(rng, n):
+    """A random n x n integer matrix whose leading minor of a random order
+    k < n is zero: row k - 1 starts as a combination of the rows above."""
+    a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+    k = rng.randint(1, n - 1)
+    coeffs = [rng.randint(-2, 2) for _ in range(k - 1)]
+    a[k - 1][:k] = [sum(c * a[i][j] for i, c in enumerate(coeffs)) for j in range(k)]
+    assert _leading_minor(a, k) == 0
+    return a
+
+
+def test_int_det_matches_the_oracle_through_swaps_and_singular_matrices():
+    rng = random.Random(21)
+    cases = [[[0, 1], [1, 0]], [[0, 0], [0, 1]], [[1, 2], [2, 4]], [[0, 2, 0], [0, 0, 3], [5, 0, 0]]]
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        cases.append(_zero_leading_minor(rng, n))
+        cases.append(_low_rank_matrix(rng, n, n, rng.randint(0, n - 1)))
+    signs = {(d > 0) - (d < 0) for d in map(_det_int, cases)}
+    assert signs == {-1, 0, 1}
+    for a in cases:
+        assert _linalg.int_det(a) == _det_int(a), a
+    assert _linalg.int_det([]) == 1
+
+
+def test_int_solve_through_zero_leading_minors_and_negative_determinants():
+    rng = random.Random(22)
+    negative = 0
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        a = _zero_leading_minor(rng, n)
+        det = _det_int(a)
+        rhs = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(rng.randint(1, n + 1))]
+        if det == 0:
+            assert _linalg.int_solve(a, rhs) is None
+            continue
+        negative += det < 0
+        nums, den = _linalg.int_solve(a, rhs)
+        assert den == abs(det)
+        oracle = oracle_solve(a, rhs)
+        assert [[F(v, den) for v in x] for x in nums] == oracle, (a, rhs)
+    assert negative >= 50
+
+
+def _first_nonpositive_minor(a):
+    return next((k for k in range(1, len(a) + 1) if _leading_minor(a, k) <= 0), None)
+
+
+def test_int_ldl_stops_at_the_first_nonpositive_leading_minor():
+    # symmetric matrices whose leading k x k block is C^T C: singular when
+    # the last column of C is the sum of the others (a zero minor; where the
+    # whole matrix is not singular, elimination swaps a row in there), or
+    # with its last diagonal entry lowered (often a negative minor)
+    rng = random.Random(23)
+    seen = {"swap": 0, "negative": 0}
+    for _ in range(400):
+        n = rng.randint(2, 6)
+        k = rng.randint(1, n)
+        c = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k + 1)]
+        zero = rng.random() < 0.5
+        if zero:
+            for row in c:
+                row[-1] = sum(row[:-1])
+        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                a[i][j] = sum(r[i] * r[j] for r in c) if i < k and j < k else a[min(i, j)][max(i, j)]
+        if not zero:
+            a[k - 1][k - 1] -= rng.randint(0, 40)
+        index = _first_nonpositive_minor(a)
+        if index is None:
+            assert [row[i] for i, row in enumerate(_linalg.int_ldl(a)[0])] == [
+                _leading_minor(a, i) for i in range(1, n + 1)]
+            continue
+        if _leading_minor(a, index) < 0:
+            seen["negative"] += 1
+        elif _det_int(a) != 0:
+            seen["swap"] += 1
+        with pytest.raises(_linalg.NonPositivePivot) as info:
+            _linalg.int_ldl(a)
+        assert info.value.index == index, a
+    assert seen["swap"] >= 50 and seen["negative"] >= 50, seen

@@ -120,6 +120,17 @@ def test_edge_index_out_of_range_rejected():
             effective_resistance(g, 0, GraphPoint(edge, F(0)))
 
 
+def test_float_offset_rejected():
+    g = theta_graph(1, 2, 3)
+    for point in (GraphPoint(0, 0.1), GraphPoint(1, 1.0)):
+        with pytest.raises(ValueError, match="float entry .* rejected"):
+            effective_resistance(g, point, 1)
+        with pytest.raises(ValueError, match="float entry .* rejected"):
+            tau(g, point)
+    point = GraphPoint(0, F(1, 10))
+    assert effective_resistance(g, point, 1) == oracle_resistance(g, point, 1)
+
+
 def test_resistance_restricted_to_edge_is_quadratic():
     # fit through 0, L/2, L; a fourth sample at L/4 must match
     rng = random.Random(8)
@@ -425,3 +436,20 @@ def test_float_edge_length_rejected():
     assert Edge(0, 1, 3).length == 3
     # the convenience constructor converts floats exactly
     assert tau(make_graph(2, [(0, 1, 1.5)])) == F(3, 8)
+
+
+def _tree_plus_chords(n):
+    """A random spanning tree on n vertices plus n // 5 random extra edges,
+    lengths k/12 for k in 1..144."""
+    rng = random.Random(1)
+    ends = [(rng.randrange(v), v) for v in range(1, n)]
+    ends += [tuple(rng.sample(range(n), 2)) for _ in range(n // 5)]
+    return make_graph(n, [(u, v, F(rng.randint(1, 144), 12)) for u, v in ends])
+
+
+def test_tau_on_a_dense_block_does_not_depend_on_the_base_point():
+    g = _tree_plus_chords(120)
+    local, _ = max(g._blocks[2].values(), key=lambda block: len(block[0]))
+    assert len(local) == 74 and 0 in local
+    # two base points in the large block: two independent 73-row solves
+    assert tau(g, 0) == tau(g, max(local))

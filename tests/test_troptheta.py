@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import oracle_cvp, oracle_qform, oracle_quadrature, random_pd_gram, random_point
-from tropmoment.lattice import DimensionMismatchError, inner, norm_sq, validate
+from tropmoment.lattice import DimensionMismatchError, LatticeError, inner, norm_sq, validate
 from tropmoment.polytope import second_moment
 from tropmoment.troptheta import (
     functional_equation_residual,
@@ -99,10 +99,20 @@ def test_functional_equation_a2_example():
 
 def test_functional_equation_rejects_non_integer_shift():
     lat = validate([[7]])
-    for u in ((F(1, 2),), (2.7,), ("1/3",)):
+    for u in ((F(1, 2),), ("1/3",)):
         with pytest.raises(ValueError, match="non-integer"):
             functional_equation_residual(lat, (F(1, 5),), u)
+    # a float is refused before its value is read, like any float point
+    with pytest.raises(LatticeError, match="float entry 2.7 rejected"):
+        functional_equation_residual(lat, (F(1, 5),), (2.7,))
     assert functional_equation_residual(lat, (F(1, 5),), (F(4, 2),)) == 0
+
+
+def test_float_point_rejected():
+    # 0.1 is not 1/10 but 3602879701896397/2^55: refused, not rounded
+    with pytest.raises(LatticeError, match="float entry 0.1 rejected"):
+        trop_theta(validate([[2]]), (0.1,))
+    assert trop_theta(validate([[2]]), ("7/10",)) == F(-2, 5)
 
 
 def test_functional_equation_rejects_wrong_length_shift():
