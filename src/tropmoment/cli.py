@@ -5,9 +5,9 @@ neron, selftest.  Inputs are JSON files against the schemas documented in
 docs/formats.md; reports go to stdout as JSON (default) or flattened CSV.
 Exit status 0 on success, 2 on any validation failure, in which case a
 machine-readable error object naming the module and offending field path
-is printed instead.  Output is byte-identical for identical inputs and
-seeds; the environment variable TROPMOMENT_TERMS overrides the default
-series length where a truncated product is evaluated.
+is printed instead.  Output is byte-identical for identical inputs,
+options and seeds, whatever the environment; ``--terms`` sets the series
+length where a truncated product is evaluated.
 
 The argument parser is built on the first call of ``main`` and is the only
 object kept for the life of the process; each command parses into a fresh
@@ -24,7 +24,6 @@ import csv
 import functools
 import io
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -106,21 +105,9 @@ def _render(payload: dict, fmt: str) -> str:
 
 
 def _default_terms(args) -> int:
-    env = os.environ.get("TROPMOMENT_TERMS")
-    if args.terms is not None:
-        value, path = args.terms, "--terms"
-    elif env is None:
-        return heights.DEFAULT_TERMS
-    else:
-        try:
-            value, path = int(env), "TROPMOMENT_TERMS"
-        except ValueError:
-            raise formats.ParseError(
-                "cli", "TROPMOMENT_TERMS", f"not an integer: {env!r}"
-            ) from None
-    if value < 1:
-        raise DomainError("cli", path, "must be >= 1")
-    return value
+    if args.terms < 1:
+        raise DomainError("cli", "--terms", "must be >= 1")
+    return args.terms
 
 
 def _parse_point(text: str, module: str, path: str):
@@ -244,9 +231,7 @@ def _cmd_neron(args) -> dict:
         out = {"mode": "tropical", "ell": ell, "nu": nu, "value": value}
         if ell.denominator == 1 and nu.denominator == 1 and nu < ell:
             out["component"] = int(nu)
-            out["component_multiplicity"] = neron.component_multiplicity(
-                int(nu), int(ell)
-            )
+            out["component_multiplicity"] = neron.component_multiplicity(int(nu), int(ell))
         return out
     floats = (("--q-re", args.q_re), ("--q-im", args.q_im),
               ("--z-re", args.z_re), ("--z-im", args.z_im))
@@ -342,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("elliptic-height", help="height identity report")
     p.add_argument("--input", required=True)
-    p.add_argument("--terms", type=int)
+    p.add_argument("--terms", type=int, default=heights.DEFAULT_TERMS)
 
     p = sub.add_parser("ffheight", help="function-field height")
     p.add_argument("--g", type=int, required=True)
@@ -356,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-im", type=float, dest="q_im")
     p.add_argument("--z-re", type=float, dest="z_re")
     p.add_argument("--z-im", type=float, dest="z_im")
-    p.add_argument("--terms", type=int)
+    p.add_argument("--terms", type=int, default=heights.DEFAULT_TERMS)
 
     p = sub.add_parser("selftest", help="seeded cross-module invariant suite")
     p.add_argument("--seed", type=int, default=7)

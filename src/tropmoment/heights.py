@@ -38,11 +38,14 @@ exact rationals.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
+
+from .lattice import _as_fraction
 
 __all__ = [
     "KAPPA0",
@@ -352,11 +355,15 @@ def height_identity_rhs(
 
 def function_field_height(g: int, h_nt_theta, moments) -> Fraction:
     """Function-field height: 2 g h' + sum of the local moments, exact."""
+    try:
+        g = operator.index(g)
+    except TypeError:
+        raise ValueError(f"g must be an int, got {g!r}") from None
     if g < 1:
         raise ValueError("g must be >= 1")
-    total = 2 * g * Fraction(h_nt_theta)
+    total = 2 * g * _as_fraction(h_nt_theta)
     for m in moments:
-        total += Fraction(m)
+        total += _as_fraction(m)
     return total
 
 
@@ -375,12 +382,7 @@ def height_identity_report(
     for place in places.nonarch:
         moment = nonarch_local_invariant(place.ord_delta)
         nonarch_terms.append(
-            {
-                "ord_delta": place.ord_delta,
-                "log_nv": place.log_nv,
-                "moment": moment,
-            }
-        )
+            {"ord_delta": place.ord_delta, "log_nv": place.log_nv, "moment": moment})
     arch_terms = []
     for tau, log_delta in zip(places.arch, log_deltas):
         arch_terms.append({"tau": tau, "invariant": _arch_local_invariant(tau, log_delta)})
@@ -391,13 +393,5 @@ def height_identity_report(
         arch=[t["invariant"] for t in arch_terms],
         degree=places.degree,
     )
-    return HeightReport(
-        lhs=lhs,
-        rhs=rhs,
-        residual=lhs - rhs,
-        terms={
-            "degree": places.degree,
-            "nonarch": nonarch_terms,
-            "arch": arch_terms,
-        },
-    )
+    terms = {"degree": places.degree, "nonarch": nonarch_terms, "arch": arch_terms}
+    return HeightReport(lhs=lhs, rhs=rhs, residual=lhs - rhs, terms=terms)

@@ -64,15 +64,25 @@ class DimensionMismatchError(LatticeError):
 
 
 def _as_fraction(value) -> Fraction:
-    if isinstance(value, float):
-        raise LatticeError(f"irrational/float entry {value!r} rejected; use p/q")
-    return Fraction(value)
+    """The library's one rule for exact-rational input: a Fraction as it is,
+    else what ``Fraction()`` reads exactly (an int, a string such as "3/4");
+    a float, or a value ``Fraction()`` refuses, raises LatticeError."""
+    if type(value) is Fraction:  # isinstance would go through ABCMeta
+        return value
+    try:
+        if not isinstance(value, float):
+            return Fraction(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        pass
+    raise LatticeError(f"{type(value).__name__} entry {value!r} rejected: not an "
+                       "exact rational; use a 'p/q' string, an int or a Fraction")
 
 
 @dataclass(frozen=True)
 class GramLattice:
     """A rank-g free lattice with a positive definite rational Gram matrix,
-    also held as integer rows ``_int_gram`` = ``_den`` G and their ``_int_ldl``."""
+    also held as integer rows ``_int_gram`` = ``_den`` G and their ``_int_ldl``;
+    ``_as_fraction`` reads each entry, and ``gram`` keeps the Fractions."""
 
     rank: int
     gram: tuple[tuple[Fraction, ...], ...]
@@ -81,20 +91,22 @@ class GramLattice:
         g = self.rank
         if g < 1:
             raise LatticeError("rank must be >= 1")
-        if len(self.gram) != g or any(len(row) != g for row in self.gram):
+        gram = tuple(tuple(map(_as_fraction, row)) for row in self.gram)
+        if len(gram) != g or any(len(row) != g for row in gram):
             raise DimensionMismatchError(f"gram matrix is not {g}x{g}")
         for i in range(g):
             for j in range(i + 1, g):
-                if self.gram[i][j] != self.gram[j][i]:
+                if gram[i][j] != gram[j][i]:
                     raise NotSymmetricError(
                         f"gram[{i}][{j}] != gram[{j}][{i}]"
                     )
-        flat, den = _linalg.integer_row([x for row in self.gram for x in row])
+        flat, den = _linalg.integer_row([x for row in gram for x in row])
         rows = [flat[i:i + g] for i in range(0, g * g, g)]
         try:
             ldl = _linalg.int_ldl(rows)
         except _linalg.NonPositivePivot as exc:
             raise NotPositiveDefiniteError(exc.index) from None
+        object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "_int_gram", rows)
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_int_ldl", ldl)
@@ -107,15 +119,15 @@ class GramLattice:
 def validate(gram) -> GramLattice:
     """Build a :class:`GramLattice` from a square matrix of rationals.
 
-    Entries may be ints, Fractions, or strings such as ``"3/4"``; floats
-    are rejected (the forms handled here are rational by construction).
+    Only the shape is checked here; :class:`GramLattice` reads the entries
+    by ``_as_fraction`` (ints, Fractions or strings such as ``"3/4"``; a
+    float or a value with no exact rational reading raises LatticeError).
     """
-    rows = [list(r) for r in gram]
+    rows = tuple(tuple(r) for r in gram)
     g = len(rows)
     if g == 0 or any(len(r) != g for r in rows):
         raise DimensionMismatchError("gram matrix must be square and nonempty")
-    frac = tuple(tuple(_as_fraction(x) for x in row) for row in rows)
-    return GramLattice(rank=g, gram=frac)
+    return GramLattice(rank=g, gram=rows)
 
 
 def _check_point(lat: GramLattice, x) -> tuple[Fraction, ...]:

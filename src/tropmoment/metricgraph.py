@@ -79,15 +79,17 @@ class RankZeroError(ValueError):
 
 @dataclass(frozen=True)
 class Edge:
+    """An edge whose length is read by ``lattice._as_fraction``, kept as a Fraction."""
+
     tail: int
     head: int
     length: Fraction
 
     def __post_init__(self):
-        if not isinstance(self.length, (int, Fraction)):
-            raise ValueError(f"edge length {self.length!r} rejected; use an int or a Fraction")
-        if self.length <= 0:
+        length = _as_fraction(self.length)
+        if length <= 0:
             raise ValueError("edge lengths must be positive")
+        object.__setattr__(self, "length", length)
 
 
 @dataclass(frozen=True)
@@ -166,13 +168,14 @@ class MetricGraph:
 
 
 def make_graph(vertex_count: int, edges) -> MetricGraph:
-    """Convenience constructor from (tail, head, length) triples."""
+    """Convenience constructor from (tail, head, length) triples; each length
+    goes to :class:`Edge` as it is."""
     # From a list: tuple() of a generator resizes its tuple, and on CPython
     # 3.11 each resize parks one more tuple in the free lists (about 100 B
     # of RSS per graph built, until the lists fill).
     return MetricGraph(
         vertex_count=vertex_count,
-        edges=tuple([Edge(t, h, Fraction(l)) for t, h, l in edges]),
+        edges=tuple([Edge(t, h, l) for t, h, l in edges]),
     )
 
 

@@ -29,10 +29,12 @@ the special fiber.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from fractions import Fraction
 
 from .heights import _BLOCK, _TAIL_TARGET, DEFAULT_TERMS, SeriesValue, _term_count
+from .lattice import _as_fraction
 
 __all__ = [
     "AtDivisorError",
@@ -184,8 +186,7 @@ def _local_height(q: complex, z: complex, theta: SeriesValue) -> float:
 
 def tate_local_height_tropical(ell, nu) -> Fraction:
     """Skeleton value nu (nu - l) / (2 l) for 0 <= nu <= l, exact."""
-    ell = Fraction(ell)
-    nu = Fraction(nu)
+    ell, nu = _as_fraction(ell), _as_fraction(nu)
     if ell <= 0:
         raise BadModulusError("l must be positive")
     if not 0 <= nu <= ell:
@@ -196,8 +197,16 @@ def tate_local_height_tropical(ell, nu) -> Fraction:
 def component_multiplicity(i: int, ell: int) -> Fraction:
     """Multiplicity i (i - l) / (2 l) of the theta section along special
     fiber component i; zero at i = 0, symmetric under i -> l - i."""
+    try:
+        ell = operator.index(ell)
+    except TypeError:
+        raise BadModulusError(f"l must be an int, got {ell!r}") from None
     if ell < 1:
         raise BadModulusError("l must be a positive integer")
+    try:
+        i = operator.index(i)
+    except TypeError:
+        raise OutOfRangeError(f"component index must be an int, got {i!r}") from None
     if not 0 <= i < ell:
         raise OutOfRangeError(f"component index must lie in [0, {ell}), got {i}")
     return Fraction(i * (i - ell), 2 * ell)

@@ -79,18 +79,11 @@ def random_point(rng: random.Random, g: int, den: int = 12):
 def random_graph(rng: random.Random, max_edges: int = 6) -> MetricGraph:
     edge_count = rng.randint(1, max_edges)
     n = rng.randint(1, edge_count + 1)
-    edges = []
-    for v in range(1, n):
-        u = rng.randrange(v)
-        edges.append(Edge(u, v, Fraction(rng.randint(1, 12), rng.randint(1, 12))))
+    edges = [Edge(rng.randrange(v), v, Fraction(rng.randint(1, 12), rng.randint(1, 12)))
+             for v in range(1, n)]
     while len(edges) < edge_count:
-        edges.append(
-            Edge(
-                rng.randrange(n),
-                rng.randrange(n),
-                Fraction(rng.randint(1, 12), rng.randint(1, 12)),
-            )
-        )
+        edges.append(Edge(rng.randrange(n), rng.randrange(n),
+                          Fraction(rng.randint(1, 12), rng.randint(1, 12))))
     return MetricGraph(vertex_count=n, edges=tuple(edges))
 
 

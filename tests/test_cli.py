@@ -352,31 +352,19 @@ def test_csv_format(tmp_path, capsys):
     assert "I,1/6" in lines
 
 
-def test_terms_env_override(tmp_path, capsys, monkeypatch):
+def test_terms_option_sets_the_series_length(tmp_path, capsys, monkeypatch):
     path = write(
         tmp_path,
         "places.json",
         {"degree": 1, "nonarch": [], "arch": [{"tau_re": 0.0, "tau_im": 0.3}]},
     )
-    monkeypatch.setenv("TROPMOMENT_TERMS", "1")
-    _, trimmed = run_cli(capsys, "elliptic-height", "--input", path)
+    _, trimmed = run_cli(capsys, "elliptic-height", "--input", path, "--terms", "1")
     _, precise = run_cli(capsys, "elliptic-height", "--input", path, "--terms", "64")
     assert json.loads(trimmed)["lhs"] != json.loads(precise)["lhs"]
-    monkeypatch.setenv("TROPMOMENT_TERMS", "64")
-    _, env64 = run_cli(capsys, "elliptic-height", "--input", path)
-    assert json.loads(env64)["lhs"] == json.loads(precise)["lhs"]
-
-
-def test_terms_env_invalid(tmp_path, capsys, monkeypatch):
-    path = write(
-        tmp_path,
-        "places.json",
-        {"degree": 1, "nonarch": [], "arch": [{"tau_re": 0.0, "tau_im": 1.0}]},
-    )
-    monkeypatch.setenv("TROPMOMENT_TERMS", "soon")
-    code, out = run_cli(capsys, "elliptic-height", "--input", path)
-    assert code == 2
-    assert json.loads(out)["error"]["path"] == "TROPMOMENT_TERMS"
+    # the environment does not set it: the default is 64 terms
+    monkeypatch.setenv("TROPMOMENT_TERMS", "1")
+    _, default = run_cli(capsys, "elliptic-height", "--input", path)
+    assert default == precise
 
 
 def test_selftest_quick(capsys):

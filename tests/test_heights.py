@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 import warnings
 from fractions import Fraction
 
@@ -240,6 +241,14 @@ def test_function_field_height_is_exact():
     value = function_field_height(2, F(3, 7), [F(5, 12)])
     assert value == 4 * F(3, 7) + F(5, 12)
     assert isinstance(value, F)
+
+
+def test_function_field_height_needs_an_integer_genus():
+    for g in (1.5, 1.0, F(1), "1"):
+        with pytest.raises(ValueError, match=re.escape(f"g must be an int, got {g!r}")):
+            function_field_height(g, F(1, 3), [F(1, 12)])
+    with pytest.raises(ValueError, match="g must be >= 1"):
+        function_field_height(0, F(1, 3), [])
 
 
 def test_height_identity_report_examples():

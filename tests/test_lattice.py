@@ -1,4 +1,6 @@
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -10,8 +12,10 @@ from conftest import (
     random_pd_gram,
     random_point,
 )
+from tropmoment.heights import function_field_height
 from tropmoment.lattice import (
     DimensionMismatchError,
+    GramLattice,
     LatticeError,
     NotPositiveDefiniteError,
     NotSymmetricError,
@@ -22,11 +26,44 @@ from tropmoment.lattice import (
     relevant_vectors,
     validate,
 )
+from tropmoment.metricgraph import Edge, GraphPoint, effective_resistance, make_graph, tau
+from tropmoment.neron import tate_local_height_tropical
 
 A2 = [[2, 1], [1, 2]]
 ID2 = [[1, 0], [0, 1]]
 
 F = Fraction
+
+
+# every library entry point that takes an exact rational from its caller,
+# each as a function of that one value
+ENTRY_POINTS = {
+    "GramLattice": lambda x: GramLattice(rank=1, gram=((x,),)).gram,
+    "validate": lambda x: validate([[x]]).gram,
+    "point": lambda x: norm_sq(validate([[2]]), (x,)),
+    "Edge": lambda x: Edge(0, 1, x).length,
+    "make_graph": lambda x: tau(make_graph(2, [(0, 1, x), (0, 1, 1)])),
+    "offset": lambda x: effective_resistance(
+        make_graph(2, [(0, 1, 4), (0, 1, 1)]), GraphPoint(0, x), 1),
+    "tropical_ell": lambda x: tate_local_height_tropical(x, F(1, 2)),
+    "tropical_nu": lambda x: tate_local_height_tropical(4, x),
+    "function_field_height": lambda x: function_field_height(1, x, [x]),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("value", [0.1, None, 2 + 0j, "abc", Decimal("NaN"), "1/0"], ids=repr)
+def test_entry_points_refuse_inexact_values(entry, value):
+    with pytest.raises(LatticeError, match=re.escape(repr(value))):
+        ENTRY_POINTS[entry](value)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("value", [3, F(3, 4), "3/4"])
+def test_entry_points_read_rationals_as_fractions(entry, value):
+    expected = ENTRY_POINTS[entry](F(value))
+    got = ENTRY_POINTS[entry](value)
+    assert got == expected and type(got) is type(expected)
 
 
 def test_validate_rank1_identity():

@@ -434,8 +434,9 @@ def test_float_edge_length_rejected():
         with pytest.raises(ValueError, match=f"{length}.*int or a Fraction"):
             Edge(0, 1, length)
     assert Edge(0, 1, 3).length == 3
-    # the convenience constructor converts floats exactly
-    assert tau(make_graph(2, [(0, 1, 1.5)])) == F(3, 8)
+    # the convenience constructor hands lengths to Edge as they are
+    with pytest.raises(ValueError, match="float entry 1.5 rejected"):
+        make_graph(2, [(0, 1, 1.5)])
 
 
 def _tree_plus_chords(n):

@@ -184,6 +184,17 @@ def test_component_multiplicity_values():
         component_multiplicity(-1, 5)
 
 
+def test_component_multiplicity_needs_integer_arguments():
+    # no component 1/2, and no modulus 2.0: refused, not evaluated
+    with pytest.raises(OutOfRangeError, match="component index must be an int"):
+        component_multiplicity(F(1, 2), 2)
+    with pytest.raises(BadModulusError, match="l must be an int, got 2.0"):
+        component_multiplicity(1, 2.0)
+    with pytest.raises(BadModulusError, match="l must be an int"):
+        component_multiplicity(F(1, 2), "2")
+    assert component_multiplicity(True, 2) == component_multiplicity(1, 2)
+
+
 def test_component_multiplicity_symmetry():
     for ell in range(2, 21):
         for i in range(1, ell):
