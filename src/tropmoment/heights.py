@@ -38,14 +38,13 @@ exact rationals.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .lattice import _as_fraction
+from .lattice import _as_fraction, _as_int
 
 __all__ = [
     "KAPPA0",
@@ -286,6 +285,7 @@ def _arch_local_invariant(tau: complex, log_delta: float) -> float:
 
 def nonarch_local_invariant(ord_delta: int) -> Fraction:
     """ord_delta / 12, exactly; zero iff good reduction."""
+    ord_delta = _as_int(ord_delta, "ord_delta", NegativeOrderError)
     if ord_delta < 0:
         raise NegativeOrderError("ord_delta must be >= 0")
     return Fraction(ord_delta, 12)
@@ -343,6 +343,7 @@ def height_identity_rhs(
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
+    g = _as_int(g, "g", ValueError)
     if g < 1:
         raise ValueError("g must be >= 1")
     local = 0.0
@@ -355,10 +356,7 @@ def height_identity_rhs(
 
 def function_field_height(g: int, h_nt_theta, moments) -> Fraction:
     """Function-field height: 2 g h' + sum of the local moments, exact."""
-    try:
-        g = operator.index(g)
-    except TypeError:
-        raise ValueError(f"g must be an int, got {g!r}") from None
+    g = _as_int(g, "g", ValueError)
     if g < 1:
         raise ValueError("g must be >= 1")
     total = 2 * g * _as_fraction(h_nt_theta)

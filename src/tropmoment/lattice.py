@@ -11,7 +11,8 @@ fraction-free LDL (``_linalg.int_ldl``).  Closest-vector queries run a
 Schnorr-Euchner branch and bound on the LDL in integers, so results
 (including ties) are certified.  Voronoi relevant vectors are found by
 the classical coset criterion: a nonzero v is relevant iff +-v are the
-unique minimizers of the squared norm in the coset v + 2Y.
+unique minimizers of the squared norm in the coset v + 2Y; that search
+runs in integers and stops at the third tie.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import inf
-from operator import mul
+from operator import index, mul
 
 from . import _linalg
 
@@ -76,6 +77,14 @@ def _as_fraction(value) -> Fraction:
         pass
     raise LatticeError(f"{type(value).__name__} entry {value!r} rejected: not an "
                        "exact rational; use a 'p/q' string, an int or a Fraction")
+
+
+def _as_int(value, name: str, error: type[ValueError]) -> int:
+    """The library's one rule for integer arguments: ``operator.index``, or ``error``."""
+    try:
+        return index(value)
+    except TypeError:
+        raise error(f"{name} must be an int, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -178,10 +187,17 @@ def closest_vectors_all(lat: GramLattice, point) -> tuple[Fraction, list[tuple[i
     lexicographically.  Branch and bound over the integer LDL form; budget
     comparisons are non-strict so exact ties are all collected.
     """
-    t = _check_point(lat, point)
+    s, m = _linalg.integer_row(_check_point(lat, point))
+    best, sols = _closest(lat, s, m, inf)
+    sols.sort()
+    return Fraction(best, lat._den * lat._int_ldl[2] * m * m), sols
+
+
+def _closest(lat: GramLattice, s: list[int], m: int, stop) -> tuple[int, list[tuple[int, ...]]]:
+    """Search for s / m in integers: ``(den W m^2 dist^2, unsorted minimizers)``.
+    Once ``stop`` minimizers tie, a branch that can only tie again is pruned."""
     g = lat.rank
-    rows, weights, scale = lat._int_ldl
-    s, m = _linalg.integer_row(t)
+    rows, weights, _ = lat._int_ldl
     # With y = m u - s, |u - t|^2 = sum_k w_k (U_k . y)^2 / (den W m^2) and
     # U_k . y = a u_k - b, a = m D_{k+1}, b = D_{k+1} s_k - sum_{j>k} U[k][j] y_j.
     best = inf  # the first leaf reached is the nearest-plane point
@@ -215,8 +231,8 @@ def closest_vectors_all(lat: GramLattice, point) -> tuple[Fraction, list[tuple[i
                 cand = hi
                 hi += 1
             e = a * cand - b
-            term = w * e * e
-            if acc + term > best:
+            bound = acc + w * e * e
+            if bound > best or bound == best and len(sols) >= stop:
                 if e <= 0:
                     lo_open = False
                 if e >= 0:
@@ -224,11 +240,10 @@ def closest_vectors_all(lat: GramLattice, point) -> tuple[Fraction, list[tuple[i
                 continue
             u[level] = cand
             y[level] = m * cand - s[level]
-            descend(level - 1, acc + term)
+            descend(level - 1, bound)
 
     descend(g - 1, 0)
-    sols.sort()
-    return Fraction(best, lat._den * scale * m * m), sols
+    return best, sols
 
 
 def closest_vector(lat: GramLattice, point) -> tuple[int, ...]:
@@ -238,18 +253,15 @@ def closest_vector(lat: GramLattice, point) -> tuple[int, ...]:
 
 
 def _relevant_vectors_uncached(lat: GramLattice) -> tuple[tuple[int, ...], ...]:
-    g = lat.rank
-    found: list[tuple[Fraction, tuple[int, ...]]] = []
-    for parity in product((0, 1), repeat=g):
+    found: list[tuple[int, tuple[int, ...]]] = []
+    for parity in product((0, 1), repeat=lat.rank):
         if not any(parity):
             continue
-        # Minimize ||c + 2u||^2 = 4 ||u - (-c/2)||^2 over integer u.
-        target = tuple(Fraction(-p, 2) for p in parity)
-        dist, sols = closest_vectors_all(lat, target)
+        # Minimize ||c + 2u||^2 = 4 ||u - (-c/2)||^2 over integer u: s = -c and
+        # m = 2 put every best on one scale; relevance needs exactly two ties.
+        best, sols = _closest(lat, [-p for p in parity], 2, 3)
         if len(sols) == 2:
-            for u in sols:
-                v = tuple(parity[i] + 2 * u[i] for i in range(g))
-                found.append((4 * dist, v))
+            found += [(best, tuple(p + 2 * x for p, x in zip(parity, u))) for u in sols]
     found.sort()
     return tuple(v for _, v in found)
 

@@ -180,7 +180,8 @@ def make_graph(vertex_count: int, edges) -> MetricGraph:
 
 
 def total_length(graph: MetricGraph) -> Fraction:
-    return sum((e.length for e in graph.edges), Fraction(0))
+    nums, den = _linalg.integer_row([e.length for e in graph.edges])
+    return Fraction(sum(nums), den)
 
 
 def _place(graph: MetricGraph, point):
@@ -190,6 +191,8 @@ def _place(graph: MetricGraph, point):
         if not 0 <= point < graph.vertex_count:
             raise ValueError(f"vertex id {point} out of range")
         return point
+    if not isinstance(point, GraphPoint):
+        raise ValueError(f"{type(point).__name__} {point!r} is not a vertex id or GraphPoint")
     if not 0 <= point.edge < len(graph.edges):
         raise ValueError(f"edge index {point.edge} out of range")
     e = graph.edges[point.edge]

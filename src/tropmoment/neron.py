@@ -29,12 +29,11 @@ the special fiber.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from fractions import Fraction
 
 from .heights import _BLOCK, _TAIL_TARGET, DEFAULT_TERMS, SeriesValue, _term_count
-from .lattice import _as_fraction
+from .lattice import _as_fraction, _as_int
 
 __all__ = [
     "AtDivisorError",
@@ -197,16 +196,10 @@ def tate_local_height_tropical(ell, nu) -> Fraction:
 def component_multiplicity(i: int, ell: int) -> Fraction:
     """Multiplicity i (i - l) / (2 l) of the theta section along special
     fiber component i; zero at i = 0, symmetric under i -> l - i."""
-    try:
-        ell = operator.index(ell)
-    except TypeError:
-        raise BadModulusError(f"l must be an int, got {ell!r}") from None
+    ell = _as_int(ell, "l", BadModulusError)
     if ell < 1:
         raise BadModulusError("l must be a positive integer")
-    try:
-        i = operator.index(i)
-    except TypeError:
-        raise OutOfRangeError(f"component index must be an int, got {i!r}") from None
+    i = _as_int(i, "component index", OutOfRangeError)
     if not 0 <= i < ell:
         raise OutOfRangeError(f"component index must lie in [0, {ell}), got {i}")
     return Fraction(i * (i - ell), 2 * ell)

@@ -53,19 +53,19 @@ vertex pairs.  Each cell is scaled to integers and validated once, and its
 integer sums are divided once, at the end.
 
 Each fact about a cell is checked once, in integers: ``Polytope._index``
-checks its vertices and builds ``_facets``, ``_negation`` (the index of -v,
-or None) and ``_mirror`` (``_mirrors`` of its integer rows), and the half
-star reads them: it checks that every half-space supports a facet, that the
-vertices are closed under negation, that ``_mirror`` pairs every half-space,
-and that no simplex is flat.  The cell is then full-dimensional (0 is the
-midpoint of v and -v) and every pair adds a positive volume, so nothing
-else checks either.
+checks its vertices, with one product per facet pair +-u, and builds
+``_facets``, ``_negation`` (the index of -v, or None) and ``_mirror``
+(``_mirrors`` of its integer rows).  The half star reads them: it checks
+that every half-space supports a facet, that the vertices are closed under
+negation, that ``_mirror`` pairs every half-space, and that no simplex is
+flat.  The cell is then full-dimensional (0 is the midpoint of v and -v)
+and every pair adds a positive volume, so nothing else checks either.
 
 Each lattice keeps the cell ``voronoi_cell`` built for it, and each cell
-keeps its half star, so ``volume``, ``second_moment`` and
-``star_triangulation`` of one cell triangulate it once.  Both live as long
-as the object that keeps them; a build that fails, say over VERTEX_BUDGET,
-keeps nothing.
+keeps its half star and its second moment, so ``volume``, ``second_moment``
+and ``star_triangulation`` of one cell triangulate it once, and the moment
+is summed once.  Both live as long as the object that keeps them; a build
+that fails, say over VERTEX_BUDGET, keeps nothing.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ from math import factorial, gcd, lcm
 from operator import mul
 
 from . import _linalg
-from .lattice import GramLattice, _gram_image, relevant_vectors
+from .lattice import GramLattice, _as_fraction, _gram_image, relevant_vectors
 
 __all__ = [
     "HalfSpace",
@@ -141,23 +141,29 @@ class Polytope:
             raise ValueError("half-spaces must be nonempty and of one dimension")
         if any(len(v) != dim for v in vertices):
             raise ValueError(f"every vertex must have {dim} coordinates")
-        flat, den = _linalg.integer_row([c for v in vertices for c in v])
+        flat, den = _linalg.integer_row([_as_fraction(c) for v in vertices for c in v])
         scaled = [tuple(flat[i:i + dim]) for i in range(0, len(flat), dim)]
         self._index(halfspaces, scaled, den, *_integer_constraints(halfspaces))
 
     def _index(self, halfspaces, scaled, den, a, b):
         dim = len(a[0])
         vertices = tuple(tuple(Fraction(c, den) for c in x) for x in scaled)
-        constraints = [(row, off * den) for row, off in zip(a, b)]
-        facets = [0] * len(constraints)
+        mirror = _mirrors(a, b)
+        # One product val per mutual pair k < m (mirror[k] = m, mirror[m] = k),
+        # -val on m; an unpaired or duplicated half-space keeps its own (m = None).
+        mutual = [m if m not in (None, k) and mirror[m] == k else None
+                  for k, m in enumerate(mirror)]
+        constraints = [(row, off * den, k, m) for k, (row, off, m)
+                       in enumerate(zip(a, b, mutual)) if m is None or m > k]
+        facets = [0] * len(a)
         for i, (v, x) in enumerate(zip(vertices, scaled)):
             tight = 0
-            for k, (row, off) in enumerate(constraints):
+            for row, off, k, m in constraints:
                 val = sum(map(mul, row, x))
-                if val > off:
+                if val > off or m is not None and -val > off:
                     raise ValueError(f"vertex {v} violates a half-space")
-                if val == off:
-                    facets[k] |= 1 << i
+                if val == off or m is not None and -val == off:
+                    facets[k if val == off else m] |= 1 << i
                     tight += 1
             if tight < dim:
                 raise ValueError(f"vertex {v} is tight on fewer than {dim} facets")
@@ -167,7 +173,7 @@ class Polytope:
         negation = tuple(index.get(tuple(-c for c in x)) for x in scaled)
         self.__dict__.update(
             halfspaces=halfspaces, vertices=vertices, _scaled=tuple(scaled), _den=den,
-            _facets=tuple(facets), _negation=negation, _mirror=_mirrors(a, b))
+            _facets=tuple(facets), _negation=negation, _mirror=mirror)
 
     @property
     def dim(self) -> int:
@@ -374,6 +380,8 @@ def second_moment(lat: GramLattice) -> Fraction:
     division is kept so the normalization is explicit).
     """
     poly = voronoi_cell(lat)
+    if "_moment" in poly.__dict__:
+        return poly._moment
     g = lat.rank
     points = poly._scaled
     norms = [sum(map(mul, x, _gram_image(lat, x))) for x in points]
@@ -384,4 +392,6 @@ def second_moment(lat: GramLattice) -> Fraction:
         w = list(map(sum, zip(*[points[i] for i in s])))
         total_det += det
         total_mom += det * (sum(norms[i] for i in s) + sum(map(mul, w, _gram_image(lat, w))))
-    return Fraction(total_mom, (g + 1) * (g + 2) * poly._den ** 2 * lat._den * total_det)
+    poly.__dict__["_moment"] = Fraction(
+        total_mom, (g + 1) * (g + 2) * poly._den ** 2 * lat._den * total_det)
+    return poly._moment

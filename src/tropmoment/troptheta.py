@@ -33,6 +33,7 @@ from operator import mul
 from . import _linalg
 from .lattice import (
     GramLattice,
+    _as_int,
     _covering_box_sq,
     _gram_image,
     closest_vector,
@@ -162,9 +163,9 @@ def moment_by_quadrature(lat: GramLattice, grid_n: int) -> float:
     lattice vector for any point of the unit box has i-th coordinate
     within sqrt((G^-1)_ii rho^2) of it.
     """
-    if grid_n < 2:
+    n, g = _as_int(grid_n, "grid", QuadratureGridError), lat.rank
+    if n < 2:
         raise QuadratureGridError("grid must be >= 2")
-    n, g = grid_n, lat.rank
     radii = [isqrt(s.numerator // s.denominator) for s in _covering_box_sq(lat)]
     count = prod(2 * r + 2 for r in radii)
     if n**g * count > QUADRATURE_BUDGET:

@@ -153,6 +153,40 @@ def oracle_relevant(gram):
     return sorted(out)
 
 
+def oracle_relevant_by_enumeration(gram):
+    """Voronoi relevant vectors by one certified box enumeration, fast enough
+    for rank 6 with many ties.  Every coset c + 2Y has a member with entries
+    in {-1, 0, 1}, so R, the largest of the cosets' least such norms, bounds
+    every coset minimum; the box holds every vector of norm <= R, and a
+    coset's minimizers are relevant iff there are exactly two of them."""
+    g = len(gram)
+    den = lcm(*(Fraction(x).denominator for row in gram for x in row))
+    a = [[int(Fraction(x) * den) for x in row] for row in gram]
+
+    def qform(v):  # den |v|^2, in integers
+        return sum(a[i][j] * v[i] * v[j] for i in range(g) for j in range(g))
+
+    least: dict[tuple[int, ...], int] = {}
+    for c in product((-1, 0, 1), repeat=g):
+        if any(c):
+            key = tuple(x % 2 for x in c)
+            least[key] = min(least.get(key, qform(c)), qform(c))
+    bound = max(least.values())
+    radii = [isqrt(int(d * bound / den)) for d in oracle_inverse_diag(gram)]
+    cosets: dict[tuple[int, ...], tuple[int, list]] = {}
+    for v in product(*(range(-r, r + 1) for r in radii)):
+        n = qform(v)
+        if not any(v) or n > bound:
+            continue
+        key = tuple(x % 2 for x in v)
+        best, sols = cosets.get(key, (n, []))
+        if n < best:
+            best, sols = n, []
+        if n == best:
+            cosets[key] = (best, sols + [v])
+    return sorted(v for _, sols in cosets.values() if len(sols) == 2 for v in sols)
+
+
 def oracle_cell_vertices(gram, normals):
     """Vertices of the cell cut out by [u, x] <= [u, u]/2 for the lattice
     vectors u in ``normals``, by brute force: solve every rank-many subset

@@ -165,6 +165,15 @@ def test_nonarch_invariant_values():
         nonarch_local_invariant(-1)
 
 
+def test_integer_arguments_are_read_as_ints():
+    with pytest.raises(NegativeOrderError, match=re.escape("ord_delta must be an int, got 1.5")):
+        nonarch_local_invariant(1.5)
+    with pytest.raises(ValueError, match=re.escape("g must be an int, got 1.5")):
+        height_identity_rhs(1.5, 0.0, [], [], 1)
+    # a bool reads as the int it is, as operator.index reads it
+    assert nonarch_local_invariant(True) == F(1, 12)
+
+
 def test_faltings_height_good_reduction_closed_form():
     places = EllipticPlaces(degree=1, nonarch=(), arch=(1j,))
     got = faltings_height_elliptic(places)

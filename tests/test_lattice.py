@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from decimal import Decimal
@@ -6,12 +7,16 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    k4,
     oracle_cvp,
     oracle_relevant,
+    oracle_relevant_by_enumeration,
     oracle_shortest,
     random_pd_gram,
     random_point,
+    two_loops_bridge,
 )
+from tropmoment import lattice
 from tropmoment.heights import function_field_height
 from tropmoment.lattice import (
     DimensionMismatchError,
@@ -26,7 +31,14 @@ from tropmoment.lattice import (
     relevant_vectors,
     validate,
 )
-from tropmoment.metricgraph import Edge, GraphPoint, effective_resistance, make_graph, tau
+from tropmoment.metricgraph import (
+    Edge,
+    GraphPoint,
+    effective_resistance,
+    jacobian_gram,
+    make_graph,
+    tau,
+)
 from tropmoment.neron import tate_local_height_tropical
 
 A2 = [[2, 1], [1, 2]]
@@ -209,6 +221,16 @@ def test_closest_vectors_all_on_tie_heavy_targets():
         assert len(sols) == ties
 
 
+def test_closest_vectors_all_collects_every_tie_past_the_coset_search_stop():
+    # the coset search stops at the third tie; the public search does not
+    lat = validate([[int(i == j) for j in range(3)] for i in range(3)])
+    dist, sols = closest_vectors_all(lat, (F(1, 2),) * 3)
+    assert dist == F(3, 4)
+    assert sols == sorted(itertools.product((0, 1), repeat=3))
+    _, stopped = lattice._closest(lat, [1, 1, 1], 2, 3)
+    assert len(stopped) == 3 and set(stopped) < set(sols)
+
+
 def test_closest_vectors_all_sheared_basis_and_large_denominators():
     rng = random.Random(606)
     for gram in (SHEARED_A3, A3, [[F(7, 3), F(1, 2)], [F(1, 2), F(5, 11)]]):
@@ -263,6 +285,39 @@ def test_relevant_matches_oracle_and_bounds():
         assert sorted(rel) == oracle_relevant(gram)
         assert len(rel) <= 2 * (2**lat.rank - 1)
         assert set(rel) == {tuple(-c for c in v) for v in rel}
+
+
+def _cartan(n, bonds):
+    gram = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in bonds:
+        gram[i][j] = gram[j][i] = -1
+    return gram
+
+
+def _tie_heavy_grams():
+    """Lattices whose cosets mod 2 have many minimizers."""
+    grams = {f"Z{n}": [[int(i == j) for j in range(n)] for i in range(n)] for n in range(1, 7)}
+    grams.update({f"A{n}": _cartan(n, [(i, i + 1) for i in range(n - 1)]) for n in range(2, 6)})
+    grams["D4"] = _cartan(4, [(0, 1), (1, 2), (1, 3)])
+    grams["E6"] = _cartan(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])
+    grams["sheared A3"] = SHEARED_A3
+    # block-diagonal graph Jacobians: two equal loops joined by a bridge,
+    # and K4 with a loop at one vertex
+    grams["two loops and a bridge"] = jacobian_gram(two_loops_bridge(2, 2, 1)).gram
+    k4_loop = make_graph(4, [(e.tail, e.head, e.length) for e in k4().edges] + [(0, 0, 2)])
+    grams["K4 plus a loop"] = jacobian_gram(k4_loop).gram
+    return grams
+
+
+@pytest.mark.parametrize("name", sorted(_tie_heavy_grams()))
+def test_relevant_vectors_match_the_oracle_on_lattices_with_many_ties(name):
+    gram = _tie_heavy_grams()[name]
+    expected = oracle_relevant_by_enumeration(gram)
+    if len(gram) <= 3:  # the coset-by-coset oracle is too slow beyond
+        assert expected == oracle_relevant(gram)
+    lat = validate(gram)
+    # sorted by squared norm, then lexicographically
+    assert relevant_vectors(lat) == tuple(sorted(expected, key=lambda v: (norm_sq(lat, v), v)))
 
 
 def test_relevant_contains_all_shortest_vectors():

@@ -46,6 +46,26 @@ def test_total_length_examples():
     assert total_length(theta_graph(1, 2, 3)) == 6
 
 
+def test_total_length_sums_over_one_denominator():
+    rng = random.Random(2718)
+    graphs = list(named_graphs().values()) + [MetricGraph(vertex_count=1, edges=())]
+    graphs += [random_connected_multigraph(rng) for _ in range(30)]
+    for graph in graphs:
+        got = total_length(graph)
+        assert type(got) is Fraction
+        assert got == sum((e.length for e in graph.edges), F(0))
+
+
+def test_query_point_of_another_type_is_refused():
+    graph = theta_graph(1, 2, 3)
+    with pytest.raises(ValueError, match="float 1.0 is not a vertex id or GraphPoint"):
+        tau(graph, 1.0)
+    with pytest.raises(ValueError, match="str '1' is not a vertex id or GraphPoint"):
+        effective_resistance(graph, 0, "1")
+    with pytest.raises(ValueError, match="tuple"):
+        effective_resistance(graph, (0, F(1, 2)), 1)
+
+
 def test_disconnected_rejected():
     with pytest.raises(DisconnectedGraphError):
         make_graph(3, [(0, 1, 1)])

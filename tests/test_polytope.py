@@ -13,7 +13,7 @@ from conftest import (
     random_pd_gram,
 )
 from tropmoment import polytope
-from tropmoment.lattice import validate
+from tropmoment.lattice import LatticeError, validate
 from tropmoment.metricgraph import cycle_basis, jacobian_gram
 from tropmoment.polytope import (
     DegeneratePolytopeError,
@@ -383,6 +383,12 @@ def test_halfspace_invariants():
         HalfSpace(normal=(1, 0), row=(F(1), F(0)), offset=F(0))
 
 
+def test_polytope_rejects_float_vertex():
+    cell = voronoi_cell(validate([[1]]))
+    with pytest.raises(LatticeError, match="float entry 0.5 rejected"):
+        Polytope(halfspaces=cell.halfspaces, vertices=((0.5,), (F(-1, 2),)))
+
+
 def test_polytope_rejects_vertex_on_too_few_facets():
     cell = voronoi_cell(ID2)
     with pytest.raises(ValueError, match="tight on fewer"):
@@ -478,6 +484,57 @@ def test_gold_root_lattice_e7():
     # det E7 = 2, so I = g G det^(1/g) = 163/288
     e7 = _cartan(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6)])
     _check_cell(e7, F(163, 288), 126, 632)
+
+
+GOLD_GRAMS = (
+    [_cartan(n, [(i, i + 1) for i in range(n - 1)]) for n in range(2, 8)]
+    + [[[int(i == j) for j in range(n)] for i in range(n)] for n in range(1, 5)]
+    + [_cartan(4, [(0, 1), (1, 2), (1, 3)]),
+       _cartan(5, [(0, 1), (1, 2), (2, 3), (2, 4)]),
+       _cartan(6, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5)]),
+       _cartan(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)]),
+       _cartan(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6)])])
+
+
+def _per_halfspace_masks(poly):
+    """Each half-space's tight vertices, one product per half-space."""
+    a, b = polytope._integer_constraints(poly.halfspaces)
+    return tuple(sum(1 << i for i, x in enumerate(poly._scaled)
+                     if sum(r * c for r, c in zip(row, x)) == off * poly._den)
+                 for row, off in zip(a, b))
+
+
+def test_paired_facets_equal_per_halfspace_masks():
+    # _index takes one product per facet pair +-u
+    for gram in GOLD_GRAMS:
+        cell = voronoi_cell(validate(gram))
+        assert cell._facets == _per_halfspace_masks(cell)
+    # a duplicated side leaves one copy unpaired, and x <= 1 has no mirror:
+    # both keep a product of their own
+    cell = voronoi_cell(ID2)
+    side = next(hs for hs in cell.halfspaces if hs.normal == (1, 0))
+    loose = HalfSpace(normal=(2, 0), row=(F(1), F(0)), offset=F(1))
+    for extra in ((side,), (loose,), (side, loose)):
+        poly = Polytope(cell.halfspaces + extra, cell.vertices)
+        assert poly._facets == _per_halfspace_masks(poly)
+        assert poly._facets[:4] == cell._facets
+
+
+def test_second_moment_is_summed_once_per_cell(monkeypatch):
+    gram = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+    lat = validate(gram)
+    cell = voronoi_cell(lat)
+    calls = count_calls(monkeypatch, polytope, "_gram_image")
+    assert second_moment(lat) == F(3, 8)
+    summed = len(calls)
+    assert summed > 0
+    # the second call reads the moment kept on the cell
+    assert second_moment(lat) == F(3, 8)
+    assert len(calls) == summed and voronoi_cell(lat) is cell
+    # a new lattice has a new cell, built and summed afresh
+    before = len(calls)
+    assert second_moment(validate(gram)) == F(3, 8)
+    assert len(calls) - before > summed
 
 
 RATIONAL_RANK4 = [[2, F(1, 3), 0, F(1, 2)], [F(1, 3), F(3, 2), F(-1, 5), 0],

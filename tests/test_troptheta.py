@@ -7,6 +7,7 @@ from conftest import oracle_cvp, oracle_qform, oracle_quadrature, random_pd_gram
 from tropmoment.lattice import DimensionMismatchError, LatticeError, inner, norm_sq, validate
 from tropmoment.polytope import second_moment
 from tropmoment.troptheta import (
+    QuadratureGridError,
     functional_equation_residual,
     moment_by_quadrature,
     torus_reduce,
@@ -236,6 +237,11 @@ def test_quadrature_matches_exact_for_random_lattices():
 def test_quadrature_rejects_tiny_grid():
     with pytest.raises(ValueError):
         moment_by_quadrature(ID2, 1)
+
+
+def test_quadrature_needs_an_integer_grid():
+    with pytest.raises(QuadratureGridError, match="grid must be an int, got 2.5"):
+        moment_by_quadrature(ID2, 2.5)
 
 
 def _sheared(gram, shear):
