@@ -113,6 +113,9 @@ class NonArchPlace:
     log_nv: float
 
     def __post_init__(self):
+        if type(self.ord_delta) is not int:  # an int reads as itself
+            object.__setattr__(
+                self, "ord_delta", _as_int(self.ord_delta, "ord_delta", NegativeOrderError))
         if self.ord_delta < 0:
             raise NegativeOrderError("ord_delta must be >= 0")
         if not self.log_nv > 0:
@@ -142,6 +145,8 @@ class EllipticPlaces:
     arch: tuple[complex, ...]
 
     def __post_init__(self):
+        if type(self.degree) is not int:
+            object.__setattr__(self, "degree", _as_int(self.degree, "degree", ValueError))
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
         if len(self.arch) != self.degree:
@@ -341,6 +346,7 @@ def height_identity_rhs(
 
         2 g h' - kappa0 g + ( sum moment * log Nv + 2 sum I ) / degree.
     """
+    degree = _as_int(degree, "degree", ValueError)
     if degree < 1:
         raise ValueError("degree must be >= 1")
     g = _as_int(g, "g", ValueError)

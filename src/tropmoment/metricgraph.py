@@ -50,7 +50,7 @@ from functools import cached_property
 from math import lcm
 
 from . import _linalg
-from .lattice import GramLattice, _as_fraction
+from .lattice import GramLattice, _as_fraction, _as_int
 from .polytope import second_moment
 
 __all__ = [
@@ -79,13 +79,17 @@ class RankZeroError(ValueError):
 
 @dataclass(frozen=True)
 class Edge:
-    """An edge whose length is read by ``lattice._as_fraction``, kept as a Fraction."""
+    """An edge whose ends are read by ``lattice._as_int`` and whose length is
+    read by ``lattice._as_fraction``, kept as a Fraction."""
 
     tail: int
     head: int
     length: Fraction
 
     def __post_init__(self):
+        if type(self.tail) is not int or type(self.head) is not int:  # an int reads as itself
+            object.__setattr__(self, "tail", _as_int(self.tail, "edge tail", ValueError))
+            object.__setattr__(self, "head", _as_int(self.head, "edge head", ValueError))
         length = _as_fraction(self.length)
         if length <= 0:
             raise ValueError("edge lengths must be positive")
@@ -94,10 +98,15 @@ class Edge:
 
 @dataclass(frozen=True)
 class GraphPoint:
-    """A point on an edge, at arclength ``offset`` from the tail."""
+    """A point on an edge, at arclength ``offset`` from the tail; the edge
+    index is read by ``lattice._as_int``."""
 
     edge: int
     offset: Fraction
+
+    def __post_init__(self):
+        if type(self.edge) is not int:
+            object.__setattr__(self, "edge", _as_int(self.edge, "edge index", ValueError))
 
 
 @dataclass(frozen=True)
@@ -106,6 +115,9 @@ class MetricGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
+        if type(self.vertex_count) is not int:
+            object.__setattr__(
+                self, "vertex_count", _as_int(self.vertex_count, "vertex_count", ValueError))
         if self.vertex_count < 1:
             raise ValueError("graph needs at least one vertex")
         for e in self.edges:

@@ -34,14 +34,19 @@ least, as voronoi_cell sorts them).  Faces are vertex bitmasks, found from
 the vertex-facet incidences alone: the facets of a face F are the
 inclusion-maximal proper, nonempty intersections of F with the facets of
 the cell (Ziegler, Lectures on Polytopes, 2.1), and a d-face with d + 1
-vertices is a simplex.  Only one facet of each pair is triangulated (the
-half star): ``_mirrors`` pairs a_k . x <= b_k with -a_k . x <= b_k on the
-integer rows, and the later facet of each pair is triangulated.  The
-negations of its simplices triangulate the other, with the same
-volumes and, x^T G x being even, the same moments: the sums over the cell
-are twice those over the half star, and the 2 cancels in I.  The metric
-Jacobian sqrt(det G) cancels in the normalized moment, so it never
-appears.  The per-simplex closed form
+vertices is a simplex.  Volumes and moments triangulate one facet per orbit
+of W, the group generated by -1 and the reflections of the lattice
+(``_facet_orbits``, on the integer rows).  Each element of W is an integer
+isometry that permutes the facets, so the cones over the facets of one orbit
+have equal volume and, x^T G x being invariant, equal moment: the sums over
+the cell are those over the one facet times the orbit's size.  When no
+reflection joins two pairs +-u, W acts as {+-1}: ``_mirrors`` pairs
+a_k . x <= b_k with -a_k . x <= b_k on the integer rows, and the later
+facet of each pair is triangulated with weight 2 (the half star, whose
+negation triangulates the rest).  ``star_triangulation`` returns the half
+star of every cell, and a public ``Polytope``, which knows no lattice,
+integrates it.  The metric Jacobian sqrt(det G) cancels in the normalized
+moment, so it never appears.  The per-simplex closed form
 
     integral over S of x^T G x  =  vol(S) / ((g+1)(g+2)) *
         ( sum_i [v_i, v_i]  +  [w, w] ),   w = sum_i v_i,
@@ -55,21 +60,24 @@ integer sums are divided once, at the end.
 Each fact about a cell is checked once, in integers: ``Polytope._index``
 checks its vertices, with one product per facet pair +-u, and builds
 ``_facets``, ``_negation`` (the index of -v, or None) and ``_mirror``
-(``_mirrors`` of its integer rows).  The half star reads them: it checks
-that every half-space supports a facet, that the vertices are closed under
-negation, that ``_mirror`` pairs every half-space, and that no simplex is
-flat.  The cell is then full-dimensional (0 is the midpoint of v and -v)
-and every pair adds a positive volume, so nothing else checks either.
+(``_mirrors`` of its integer rows).  Each star reads them: it checks that
+every half-space supports a facet, that the vertices are closed under
+negation, that ``_mirror`` pairs every half-space, and that no simplex it
+integrates is flat.  The cell is then full-dimensional (0 is the midpoint
+of v and -v) and every pair adds a positive volume, so nothing else checks
+either.
 
 Each lattice keeps the cell ``voronoi_cell`` built for it, and each cell
-keeps its half star and its second moment, so ``volume``, ``second_moment``
-and ``star_triangulation`` of one cell triangulate it once, and the moment
-is summed once.  Both live as long as the object that keeps them; a build
-that fails, say over VERTEX_BUDGET, keeps nothing.
+keeps its facet orbits, its star over one facet per orbit, its half star
+and its second moment, so ``volume`` and ``second_moment`` of one cell
+triangulate it once, ``star_triangulation`` once more unless W acts as
+{+-1}, and the moment is summed once.  They live as long as the object
+that keeps them; a build that fails, say over VERTEX_BUDGET, keeps nothing.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -91,7 +99,8 @@ __all__ = [
     "star_triangulation",
 ]
 
-# Most vertices double description may hold at once (D5 peaks at 54, E6 at 142, E7 at 632).
+# Most vertices double description may hold at once (D5 peaks at 54, E6 at 142, E7 at 632,
+# E8 at 19 440).
 VERTEX_BUDGET = 10**5
 
 
@@ -127,10 +136,12 @@ class Polytope:
     """H- and V-representation.  ``_index``, the one check, validates the
     vertices as integer rows ``_scaled`` over one denominator ``_den`` and
     keeps each half-space's tight vertices as the bitmask ``_facets[k]`` (bit
-    i for vertex i), the index ``_negation[i]`` of -v_i (or None) and
-    ``_mirror = _mirrors(a, b)``.  ``Polytope(halfspaces, vertices)`` scales
-    its vertices for it, and ``voronoi_cell`` hands it the rows of double
-    description.  The half star reads them and checks the rest."""
+    i for vertex i), the index ``_negation[i]`` of -v_i (or None),
+    ``_mirror = _mirrors(a, b)`` and ``_orbits``, the facet orbits of
+    ``_facet_orbits`` (None: the pairs +-u).  ``Polytope(halfspaces,
+    vertices)`` scales its vertices for it and knows no orbits, and
+    ``voronoi_cell`` hands it the rows of double description, then sets
+    the orbits.  The stars read them and check the rest."""
 
     halfspaces: tuple[HalfSpace, ...]
     vertices: tuple[tuple[Fraction, ...], ...]
@@ -173,7 +184,7 @@ class Polytope:
         negation = tuple(index.get(tuple(-c for c in x)) for x in scaled)
         self.__dict__.update(
             halfspaces=halfspaces, vertices=vertices, _scaled=tuple(scaled), _den=den,
-            _facets=tuple(facets), _negation=negation, _mirror=mirror)
+            _facets=tuple(facets), _negation=negation, _mirror=mirror, _orbits=None)
 
     @property
     def dim(self) -> int:
@@ -182,6 +193,11 @@ class Polytope:
     @cached_property
     def _star(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         return _star_facet_simplices(self)
+
+    @cached_property
+    def _cones(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """One facet of each orbit, triangulated: sums over it are the cell's."""
+        return self._star if self._orbits is None else _star_facet_simplices(self, self._orbits)
 
 
 def _integer_constraints(halfspaces) -> tuple[list[list[int]], list[int]]:
@@ -293,7 +309,8 @@ def _build_cell(lat: GramLattice) -> Polytope:
             f"double description starts from 2^{lat.rank} start corners, "
             f"more than {VERTEX_BUDGET} live vertices")
     halfspaces = []
-    for u in relevant_vectors(lat):
+    relevant = relevant_vectors(lat)
+    for u in relevant:
         au = _gram_image(lat, u)
         halfspaces.append(HalfSpace(
             normal=u,
@@ -303,15 +320,66 @@ def _build_cell(lat: GramLattice) -> Polytope:
     a, b = _integer_constraints(halfspaces)
     cell = Polytope.__new__(Polytope)
     cell._index(tuple(halfspaces), *_vertices_dd(a, b, lat.rank), a, b)
+    cell.__dict__["_orbits"] = _facet_orbits(relevant, a, b, cell._mirror)
     return cell
 
 
-def _star_facet_simplices(poly: Polytope) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Triangulate the later facet of each pair +-u: ``(s, |det|)`` for each
-    (g-1)-simplex, where ``s`` holds vertex indices and ``det`` is the
-    determinant of their integer rows, the scaled volume of the cone over
-    ``s`` from the origin.  The other facet of each pair is the negation of
-    its representative."""
+def _facet_orbits(normals, a, b, mirror) -> dict[int, int] | None:
+    """The orbits of the facets under W, the group generated by -1 and the
+    reflections of the lattice, as {facet: size of its orbit}, one facet of
+    each; None when every orbit is one pair +-u (``mirror`` pairs them).
+
+    A relevant vector r is reflective when a_k / b_k = 2 G r / [r, r] is an
+    integer vector c, that is when b_k divides the gcd of a_k: then
+    s_r(x) = x - (c . x) r is an isometry of the lattice, so it permutes the
+    relevant vectors, and the facets with them.  An image that is not among
+    ``normals`` raises DegeneratePolytopeError."""
+    # Union-find on the pairs +-u, each labelled by its first facet:
+    # s_r = s_-r and s_r(-u) = -s_r(u), so one of each is enough.
+    half = [k for k, m in enumerate(mirror) if m is not None and m > k]
+    reflections = [(k, [c // b[k] for c in a[k]]) for k in half if gcd(*a[k]) % b[k] == 0]
+    if not reflections:
+        return None
+    index = dict(zip(normals, range(len(normals))))
+    up = list(range(len(normals)))
+
+    def find(k):
+        while up[k] != k:
+            up[k] = up[up[k]]
+            k = up[k]
+        return k
+
+    count = len(half)
+    for rk, c in reflections:
+        r = normals[rk]
+        for k in half:
+            # s_r sends r to -r and fixes every u with c . u = 0
+            t = sum(map(mul, c, normals[k]))
+            if t and k != rk:
+                image = tuple(x - t * y for x, y in zip(normals[k], r))
+                j = index.get(image)
+                if j is None:
+                    raise DegeneratePolytopeError(
+                        f"the reflection in {r} sends the facet normal {normals[k]} "
+                        f"to {image}, which is not relevant")
+                i, j = find(k), find(min(j, mirror[j]))
+                if i != j:
+                    up[max(i, j)] = min(i, j)
+                    count -= 1
+        if count == 1:
+            break
+    if count == len(half):
+        return None
+    return {k: 2 * n for k, n in Counter(map(find, half)).items()}
+
+
+def _star_facet_simplices(poly: Polytope, orbits=None) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Triangulate one facet of each orbit, ``orbits`` mapping it to the
+    orbit's size: ``(s, size |det|)`` for each (g-1)-simplex, where ``s``
+    holds vertex indices and ``det`` is the determinant of their integer
+    rows, the scaled volume of the cone over ``s`` from the origin.  By
+    default each pair +-u is an orbit, and its later facet is triangulated
+    (the half star): the other is the negation of its representative."""
     g = poly.dim
     points = poly._scaled
     facets = poly._facets
@@ -325,6 +393,8 @@ def _star_facet_simplices(poly: Polytope) -> tuple[tuple[tuple[int, ...], int], 
     mirror = poly._mirror
     if any(m in (None, k) or mirror[m] != k for k, m in enumerate(mirror)):
         raise DegeneratePolytopeError("half-spaces do not pair under negation")
+    if orbits is None:
+        orbits = {k: 2 for k, m in enumerate(mirror) if m < k}
     cache: dict[int, list[tuple[int, ...]]] = {}
 
     def tri(face: int, d: int) -> list[tuple[int, ...]]:
@@ -346,8 +416,8 @@ def _star_facet_simplices(poly: Polytope) -> tuple[tuple[tuple[int, ...], int], 
         cache[face] = out
         return out
 
-    star = tuple((s, abs(_linalg.int_det([points[i] for i in s])))
-                 for k, facet in enumerate(facets) if mirror[k] < k for s in tri(facet, g - 1))
+    star = tuple((s, size * abs(_linalg.int_det([points[i] for i in s])))
+                 for k, size in orbits.items() for s in tri(facets[k], g - 1))
     if any(det == 0 for _, det in star):
         raise DegeneratePolytopeError("a star simplex is flat")
     return star
@@ -366,8 +436,7 @@ def star_triangulation(poly: Polytope) -> tuple[tuple[tuple[Fraction, ...], ...]
 
 def volume(poly: Polytope) -> Fraction:
     """Coordinate-Lebesgue volume via the origin star triangulation."""
-    # the negated half has the same determinants
-    total_det = 2 * sum(det for _, det in poly._star)
+    total_det = sum(det for _, det in poly._cones)
     return Fraction(total_det, factorial(poly.dim) * poly._den ** poly.dim)
 
 
@@ -385,10 +454,8 @@ def second_moment(lat: GramLattice) -> Fraction:
     g = lat.rank
     points = poly._scaled
     norms = [sum(map(mul, x, _gram_image(lat, x))) for x in points]
-    # The negated half has the same determinants and, [x, x] being even,
-    # the same moments: both sums double, and the ratio does not change.
     total_det = total_mom = 0
-    for s, det in poly._star:
+    for s, det in poly._cones:
         w = list(map(sum, zip(*[points[i] for i in s])))
         total_det += det
         total_mom += det * (sum(norms[i] for i in s) + sum(map(mul, w, _gram_image(lat, w))))

@@ -174,6 +174,24 @@ def test_integer_arguments_are_read_as_ints():
     assert nonarch_local_invariant(True) == F(1, 12)
 
 
+def test_place_order_must_be_an_int():
+    with pytest.raises(NegativeOrderError, match=re.escape("ord_delta must be an int, got 1.5")):
+        NonArchPlace(1.5, 1.0)
+    place = NonArchPlace(True, 1.0)
+    assert (type(place.ord_delta), place.ord_delta) == (int, 1)
+
+
+def test_places_degree_must_be_an_int():
+    with pytest.raises(ValueError, match=re.escape("degree must be an int, got 1.0")):
+        EllipticPlaces(degree=1.0, nonarch=(), arch=(1j,))
+
+
+def test_identity_rhs_degree_must_be_an_int():
+    with pytest.raises(ValueError, match=re.escape("degree must be an int, got 1.5")):
+        height_identity_rhs(1, 0.0, [], [], 1.5)
+    assert height_identity_rhs(1, 0.0, [], [], 1) == -KAPPA0
+
+
 def test_faltings_height_good_reduction_closed_form():
     places = EllipticPlaces(degree=1, nonarch=(), arch=(1j,))
     got = faltings_height_elliptic(places)

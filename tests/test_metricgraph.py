@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -457,6 +458,32 @@ def test_float_edge_length_rejected():
     # the convenience constructor hands lengths to Edge as they are
     with pytest.raises(ValueError, match="float entry 1.5 rejected"):
         make_graph(2, [(0, 1, 1.5)])
+
+
+def test_edge_ends_must_be_ints():
+    # read by operator.index, as every integer argument of the library is
+    with pytest.raises(ValueError, match=re.escape("edge tail must be an int, got 0.5")):
+        Edge(0.5, 1, 1)
+    with pytest.raises(ValueError, match=re.escape("edge head must be an int, got '1'")):
+        make_graph(2, [(0, "1", 1)])
+    edge = Edge(True, 0, 1)
+    assert (type(edge.tail), edge.tail) == (int, 1)
+
+
+def test_vertex_count_must_be_an_int():
+    with pytest.raises(ValueError, match=re.escape("vertex_count must be an int, got 2.0")):
+        make_graph(2.0, [(0, 1, 1)])
+    with pytest.raises(ValueError, match="vertex_count must be an int"):
+        MetricGraph(vertex_count=None, edges=())
+
+
+def test_graph_point_edge_must_be_an_int():
+    g = theta_graph(1, 2, 3)
+    with pytest.raises(ValueError, match=re.escape("edge index must be an int, got 0.0")):
+        tau(g, GraphPoint(0.0, 1))
+    with pytest.raises(ValueError, match="edge index must be an int"):
+        effective_resistance(g, 0, GraphPoint("0", F(1, 2)))
+    assert tau(g, GraphPoint(0, 1)) == tau(g, 1)
 
 
 def _tree_plus_chords(n):

@@ -486,6 +486,13 @@ def test_gold_root_lattice_e7():
     _check_cell(e7, F(163, 288), 126, 632)
 
 
+def test_gold_root_lattice_e8():
+    # G(E8) = 929 / 12960 (Conway & Sloane, SPLAG ch. 21), and det E8 = 1,
+    # so I = 8 G = 929/1620: one facet of 240, triangulated once
+    e8 = _cartan(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 7)])
+    _check_cell(e8, F(929, 1620), 240, 19440)
+
+
 GOLD_GRAMS = (
     [_cartan(n, [(i, i + 1) for i in range(n - 1)]) for n in range(2, 8)]
     + [[[int(i == j) for j in range(n)] for i in range(n)] for n in range(1, 5)]
@@ -590,3 +597,65 @@ def test_cell_vertices_do_not_depend_on_the_start(gram, dependent_start):
         assert {tuple(F(c, den) for c in r) for r in rows} == expected
         assert rows == sorted(rows)
     assert skipped == dependent_start
+
+
+A2_PLUS_A3 = _direct_sum(_cartan(2, [(0, 1)]), _cartan(3, [(0, 1), (1, 2)]))
+
+
+def _orbit_grams():
+    rng = random.Random(4242)
+    grams = list(GOLD_GRAMS) + [A2_PLUS_A3, _sheared(A2_PLUS_A3, rng)]
+    grams += [_sheared(_cartan(n, [(i, i + 1) for i in range(n - 1)]), rng) for n in (3, 4)]
+    grams += [random_pd_gram(rng, max_rank=4) for _ in range(12)]
+    return grams + _criterion02_grams()
+
+
+def test_orbit_sums_equal_the_half_star_sums(monkeypatch):
+    # one facet per orbit of <-1, reflections>, weighted by the orbit's size,
+    # against the half star weighted by 2: with the orbit search switched off
+    grams = _orbit_grams()
+    expected = []
+    for gram in grams:
+        lat = validate(gram)
+        cell = voronoi_cell(lat)
+        expected.append((second_moment(lat), volume(cell), len(star_triangulation(cell))))
+    monkeypatch.setattr(polytope, "_facet_orbits", lambda normals, a, b, mirror: None)
+    for gram, want in zip(grams, expected):
+        lat = validate(gram)
+        cell = voronoi_cell(lat)
+        assert cell._orbits is None
+        assert (second_moment(lat), volume(cell), len(star_triangulation(cell))) == want
+
+
+def _orbit_sizes(gram):
+    orbits = voronoi_cell(validate(gram))._orbits
+    return orbits and sorted(orbits.values())
+
+
+def test_facet_orbits_of_root_lattices():
+    # the roots of an irreducible root lattice form one orbit of its Weyl
+    # group, and its relevant vectors are its roots
+    for gram in GOLD_GRAMS[:6] + GOLD_GRAMS[10:]:
+        cell = voronoi_cell(validate(gram))
+        assert list(cell._orbits.values()) == [len(cell.halfspaces)]
+    # A_2 + A_3: one orbit per summand, in any basis
+    rng = random.Random(8)
+    assert _orbit_sizes(A2_PLUS_A3) == _orbit_sizes(_sheared(A2_PLUS_A3, rng)) == [6, 12]
+    # every e_i of Z^n is reflective, but each s_e_i fixes or negates every
+    # e_j: every orbit is one pair, and the cell keeps the half star
+    for gram in GOLD_GRAMS[6:10]:
+        assert _orbit_sizes(gram) is None
+
+
+def test_facet_orbit_image_outside_the_normals_raises():
+    # the normals of A_2 without the pair +-(1, -1): the reflection in
+    # (-1, 0) sends (0, -1) to (1, -1), which is no longer among them
+    cell = voronoi_cell(A2)
+    a, b = polytope._integer_constraints(cell.halfspaces)
+    keep = [k for k, hs in enumerate(cell.halfspaces) if hs.normal not in ((1, -1), (-1, 1))]
+    assert len(keep) == 4
+    a, b = [a[k] for k in keep], [b[k] for k in keep]
+    message = r"\(0, -1\) to \(1, -1\), which is not relevant"
+    with pytest.raises(DegeneratePolytopeError, match=message):
+        polytope._facet_orbits([cell.halfspaces[k].normal for k in keep], a, b,
+                               polytope._mirrors(a, b))
