@@ -2,15 +2,13 @@
 
 Everything in this package runs at desk scale (matrix sizes bounded by the
 lattice rank plus a handful of graph nodes), so these routines optimize for
-exactness and determinism, not asymptotics.  Determinants, solves and
-the LDL form read one fraction-free (Bareiss) forward elimination,
-``_eliminate``; a solve then finishes by fraction-free back substitution,
-for every right-hand side at once.  ``int_rank`` is plain integer
-elimination: it cross-multiplies only the rows with a nonzero entry in
-the pivot column and never divides (a Bareiss rank, which must update
-every row to keep its divisions exact, measured slower in double
-description).  Rational input is scaled to integers first
-(``integer_row``) so that the hot paths stay in plain ``int`` arithmetic.
+exactness and determinism, not asymptotics.  Determinants, solves, the LDL
+form and ranks read one fraction-free (Bareiss) forward elimination,
+``_eliminate``, which brings any integer rows to echelon form, skips a
+column with no pivot and returns the rank; a solve then finishes by
+fraction-free back substitution, for every right-hand side at once.
+Rational input is scaled to integers first (``integer_row``) so that the
+hot paths stay in plain ``int`` arithmetic.
 """
 
 from __future__ import annotations
@@ -27,46 +25,52 @@ class NonPositivePivot(Exception):
         self.index = index
 
 
-def _eliminate(m: list[list[int]], n: int) -> int:
-    """Fraction-free (Bareiss) forward elimination of the first ``n``
-    columns of the integer rows ``m``, in place; longer rows carry their
-    extra entries along.  Every division is exact.  A zero pivot swaps in
-    the first lower row that is nonzero in its column; without swaps,
-    ``m[k][k]`` is the leading principal minor of order k + 1.  Returns the
-    swap sign, or 0 if the first ``n`` columns are singular."""
-    sign = 1
-    prev = 1
+def _eliminate(m: list[list[int]], n: int) -> tuple[int, int]:
+    """Fraction-free (Bareiss) echelon form of the first ``n`` columns of
+    the integer rows ``m``, in place; longer rows carry their extra entries
+    along.  Every division is exact.  A column whose entries at and below
+    the current row are all zero is skipped, and the row stays for the next
+    column; otherwise a zero pivot swaps in the first lower row that is
+    nonzero in its column.  Without skips or swaps, ``m[k][k]`` is the
+    leading principal minor of order k + 1; the rows past the rank end up
+    zero in the first ``n`` columns.  Returns ``(rank, sign)``: the number
+    of pivots and the sign of the row swaps."""
+    rank, sign, prev = 0, 1, 1
+    rows = len(m)
     for k in range(n):
-        row_k = m[k]
+        if rank == rows:
+            break
+        row_k = m[rank]
         if row_k[k] == 0:
-            for i in range(k + 1, n):
+            for i in range(rank + 1, rows):
                 if m[i][k] != 0:
-                    m[k], m[i] = m[i], row_k
-                    row_k = m[k]
+                    m[rank], m[i] = m[i], row_k
+                    row_k = m[rank]
                     sign = -sign
                     break
             else:
-                return 0
+                continue
         pivot = row_k[k]
         width = len(row_k)
-        for i in range(k + 1, n):
+        for i in range(rank + 1, rows):
             row_i = m[i]
             f = row_i[k]
             for j in range(k + 1, width):
                 row_i[j] = (row_i[j] * pivot - f * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    return sign
+        rank += 1
+    return rank, sign
 
 
 def int_det(rows: list[list[int]]) -> int:
     """Determinant of a square integer matrix: the swap sign times the
-    last pivot of ``_eliminate``."""
+    last entry after ``_eliminate``, its last pivot or 0."""
     n = len(rows)
     if n == 0:
         return 1
     m = [list(row) for row in rows]
-    return _eliminate(m, n) * m[n - 1][n - 1]
+    return _eliminate(m, n)[1] * m[n - 1][n - 1]
 
 
 def int_solve(a: list[list[int]], rhs: list[list[int]]) -> tuple[list[list[int]], int] | None:
@@ -78,7 +82,7 @@ def int_solve(a: list[list[int]], rhs: list[list[int]]) -> tuple[list[list[int]]
     den``, or ``None`` if the matrix is singular."""
     n = len(a)
     m = [a[r] + [b[r] for b in rhs] for r in range(n)]
-    if not _eliminate(m, n):
+    if _eliminate(m, n)[0] < n:
         return None
     d = m[n - 1][n - 1] if n else 1
     nums = []
@@ -102,8 +106,9 @@ def int_ldl(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
     read without row swaps.  Returns ``(u, w, W)`` with ``x^T A x =
     sum_k w[k] (sum_{j>=k} u[k][j] x_j)^2 / W``, where the pivot ``u[k][k]``
     is the leading minor ``D_{k+1}`` and ``w[k] = W / (D_k D_{k+1})``.
-    Raises :class:`NonPositivePivot` at the first pivot <= 0; a swap
-    happens only at a zero leading minor, so a swapped-in row is one."""
+    Raises :class:`NonPositivePivot` at the first pivot <= 0.  A swap or a
+    skipped column happens only at a zero leading minor, and leaves a
+    swapped-in row or a zero pivot at its index."""
     u = [list(row) for row in rows]
     order = u[:]
     _eliminate(u, len(u))
@@ -118,31 +123,8 @@ def int_ldl(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
 
 
 def int_rank(rows: list[list[int]]) -> int:
-    """Rank over Q of an integer matrix (division-free elimination)."""
-    m = [row[:] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(row, nrows):
-            if m[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[row], m[pivot_row] = m[pivot_row], m[row]
-        pivot = m[row][col]
-        for i in range(row + 1, nrows):
-            if m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [m[i][j] * pivot - f * m[row][j] for j in range(ncols)]
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
+    """Rank over Q of an integer matrix: the pivots of ``_eliminate``."""
+    return _eliminate([list(row) for row in rows], len(rows[0]) if rows else 0)[0]
 
 
 def integer_row(values) -> tuple[list[int], int]:

@@ -118,8 +118,12 @@ class NonArchPlace:
                 self, "ord_delta", _as_int(self.ord_delta, "ord_delta", NegativeOrderError))
         if self.ord_delta < 0:
             raise NegativeOrderError("ord_delta must be >= 0")
-        if not self.log_nv > 0:
-            raise ValueError("log_nv must be positive")
+        try:
+            positive = self.log_nv > 0
+        except TypeError:  # not a real number
+            positive = False
+        if not positive:
+            raise ValueError(f"log_nv must be a positive number, got {self.log_nv!r}")
         if _weight(self) == math.inf:
             raise FloatRangeError("ord_delta * log_nv exceeds the binary64 range")
 
@@ -137,7 +141,8 @@ class EllipticPlaces:
     """Per-place data of a semistable elliptic curve over a degree-d field.
 
     ``arch`` lists the period tau of every complex embedding, so it must
-    have exactly ``degree`` entries.
+    have exactly ``degree`` entries; each is kept as the complex number
+    that ``complex()`` reads from it.
     """
 
     degree: int
@@ -154,8 +159,7 @@ class EllipticPlaces:
                 f"{len(self.arch)} archimedean embeddings given, "
                 f"degree is {self.degree}"
             )
-        for tau in self.arch:
-            _check_tau(tau)
+        object.__setattr__(self, "arch", tuple(map(_check_tau, self.arch)))
         total = 0.0
         for i, place in enumerate(self.nonarch):
             total += _weight(place)
@@ -175,7 +179,12 @@ class HeightReport:
 
 
 def _check_tau(tau: complex) -> complex:
-    tau = complex(tau)
+    try:
+        tau = complex(tau)
+    except (TypeError, ValueError, OverflowError):
+        raise NonPositiveImaginaryPartError(
+            f"period must be a complex number in the upper half plane, got {tau!r}"
+        ) from None
     if not tau.imag > 0:
         raise NonPositiveImaginaryPartError(
             f"period must lie in the upper half plane, got {tau!r}"
@@ -231,6 +240,7 @@ def _term_count(n_terms: int, estimate: float, tail) -> tuple[int, float]:
 
 # Unchecked forms for periods already checked: one warning per input.
 def _log_abs_delta(tau: complex, n_terms: int) -> SeriesValue:
+    n_terms = _as_int(n_terms, "n_terms", ValueError)
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
     q = _q_in_range(tau)

@@ -70,7 +70,10 @@ def b2(t):
 
 
 def _check_modulus(q: complex) -> complex:
-    q = complex(q)
+    try:
+        q = complex(q)
+    except (TypeError, ValueError, OverflowError):
+        raise BadModulusError(f"q must be a complex number, got {q!r}") from None
     abs_q = math.hypot(q.real, q.imag)
     if not sys.float_info.min <= abs_q < 1.0:
         raise BadModulusError(
@@ -79,9 +82,14 @@ def _check_modulus(q: complex) -> complex:
     return q
 
 
-def _check_off_divisor(q: complex, z: complex):
-    """Reject z within relative distance 1e-9 of some q^n, and a |z| whose
-    reciprocal or modulus leaves the binary64 range."""
+def _check_off_divisor(q: complex, z) -> complex:
+    """z as a complex number.  Reject a z that ``complex()`` refuses, z
+    within relative distance 1e-9 of some q^n, and a |z| whose reciprocal
+    or modulus leaves the binary64 range."""
+    try:
+        z = complex(z)
+    except (TypeError, ValueError, OverflowError):
+        raise OutOfRangeError(f"z must be a complex number, got {z!r}") from None
     if z == 0:
         raise AtDivisorError("z must be nonzero")
     abs_z = math.hypot(z.real, z.imag)
@@ -103,6 +111,7 @@ def _check_off_divisor(q: complex, z: complex):
             raise AtDivisorError(
                 f"z is within relative tolerance {_DIVISOR_TOL} of q^{n}"
             )
+    return z
 
 
 def tate_theta_log_abs(
@@ -121,8 +130,8 @@ def tate_theta_log_abs(
     log|theta(qz)| = log|theta(z)| - log|z|.
     """
     q = _check_modulus(q)
-    z = complex(z)
-    _check_off_divisor(q, z)
+    z = _check_off_divisor(q, z)
+    n_terms = _as_int(n_terms, "n_terms", ValueError)
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
     abs_q = abs(q)
@@ -171,7 +180,8 @@ def tate_local_height(q: complex, z: complex, n_terms: int = DEFAULT_TERMS) -> f
     cancels the quasi-periodicity of theta exactly.
     """
     theta = tate_theta_log_abs(q, z, n_terms)  # validates q and z
-    return _local_height(q, z, theta)
+    # the series read q and z with complex(); the height reads the same values
+    return _local_height(complex(q), complex(z), theta)
 
 
 def _local_height(q: complex, z: complex, theta: SeriesValue) -> float:

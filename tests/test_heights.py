@@ -192,6 +192,34 @@ def test_identity_rhs_degree_must_be_an_int():
     assert height_identity_rhs(1, 0.0, [], [], 1) == -KAPPA0
 
 
+def test_places_keep_the_periods_they_check():
+    places = EllipticPlaces(degree=1, nonarch=(), arch=("1j",))
+    assert places.arch == (1j,) and type(places.arch[0]) is complex
+    got = height_identity_report(places)
+    want = height_identity_report(EllipticPlaces(degree=1, nonarch=(), arch=(1j,)))
+    assert (got.lhs, got.rhs, got.residual, got.terms) == (
+        want.lhs, want.rhs, want.residual, want.terms)
+
+
+def test_periods_that_are_not_numbers_raise_value_errors():
+    for bad in (None, [1j], object()):
+        with pytest.raises(NonPositiveImaginaryPartError, match="must be a complex number"):
+            log_abs_delta(bad)
+        with pytest.raises(NonPositiveImaginaryPartError, match="must be a complex number"):
+            arch_local_invariant(bad)
+        with pytest.raises(NonPositiveImaginaryPartError, match="must be a complex number"):
+            EllipticPlaces(degree=1, nonarch=(), arch=(bad,))
+
+
+def test_series_term_counts_must_be_ints():
+    places = EllipticPlaces(degree=1, nonarch=(), arch=(1j,))
+    for call in (lambda: log_abs_delta(1j, 2.5), lambda: arch_local_invariant(1j, "64"),
+                 lambda: faltings_height_elliptic(places, 2.5),
+                 lambda: height_identity_report(places, 64.0)):
+        with pytest.raises(ValueError, match="n_terms must be an int"):
+            call()
+
+
 def test_faltings_height_good_reduction_closed_form():
     places = EllipticPlaces(degree=1, nonarch=(), arch=(1j,))
     got = faltings_height_elliptic(places)
@@ -227,8 +255,9 @@ def test_places_validation():
         EllipticPlaces(degree=1, nonarch=(), arch=(1 - 2j,))
     with pytest.raises(NegativeOrderError):
         NonArchPlace(ord_delta=-3, log_nv=1.0)
-    with pytest.raises(ValueError):
-        NonArchPlace(ord_delta=3, log_nv=0.0)
+    for log_nv in (0.0, "2", None, 1j):
+        with pytest.raises(ValueError, match="log_nv must be a positive number"):
+            NonArchPlace(ord_delta=3, log_nv=log_nv)
 
 
 def test_rhs_reduces_to_constant_term():

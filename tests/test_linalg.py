@@ -65,11 +65,11 @@ def test_int_ldl_reproduces_the_quadratic_form():
             assert F(value, scale) == oracle_qform(a, x)
 
 
-def _low_rank_matrix(rng, nrows, ncols, rank):
-    """Product of random nrows x rank and rank x ncols integer factors,
-    with some rows and columns set to zero."""
-    left = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(nrows)]
-    right = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(rank)]
+def _low_rank_matrix(rng, nrows, ncols, rank, size=3):
+    """Product of random nrows x rank and rank x ncols integer factors with
+    entries in [-size, size], with some rows and columns set to zero."""
+    left = [[rng.randint(-size, size) for _ in range(rank)] for _ in range(nrows)]
+    right = [[rng.randint(-size, size) for _ in range(ncols)] for _ in range(rank)]
     m = [[sum(left[i][k] * right[k][j] for k in range(rank)) for j in range(ncols)]
          for i in range(nrows)]
     for i in rng.sample(range(nrows), rng.randint(0, nrows // 2)):
@@ -86,6 +86,24 @@ def test_int_rank_matches_fraction_elimination():
     for _ in range(400):
         nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
         cases.append(_low_rank_matrix(rng, nrows, ncols, rng.randint(0, min(nrows, ncols))))
+    # facet-shaped: the vertex rows of a facet, 40 to 700 rows of 6 to 8
+    # columns with entries up to 10^6, of full or short rank
+    for _ in range(16):
+        nrows, ncols = rng.randint(40, 700), rng.randint(6, 8)
+        cases.append(_low_rank_matrix(rng, nrows, ncols, rng.randint(1, ncols), size=350))
+    for _ in range(4):
+        nrows, ncols = rng.randint(40, 700), rng.randint(6, 8)
+        cases.append([[rng.randint(-10**6, 10**6) for _ in range(ncols)] for _ in range(nrows)])
+    # the first nonzero column comes late: leading columns are skipped
+    cases += [[[0, 0, 0, 1], [0, 0, 0, 2]], [[0, 0, 3], [0, 0, 0], [0, 1, 1]],
+              [[0, 0, 1, 2, 3], [0, 0, 2, 4, 6], [0, 0, 0, 0, 1]]]
+    for _ in range(200):
+        nrows, ncols = rng.randint(1, 9), rng.randint(2, 8)
+        m = _low_rank_matrix(rng, nrows, ncols, rng.randint(0, min(nrows, ncols)))
+        lead = rng.randint(1, ncols - 1)
+        for row in m:
+            row[:lead] = [0] * lead
+        cases.append(m)
     for m in cases:
         assert _linalg.int_rank(m) == oracle_rank(m)
 
@@ -105,6 +123,16 @@ def _zero_leading_minor(rng, n):
     return a
 
 
+def _zero_column(rng, n):
+    """A random n x n integer matrix with a zero column before a nonzero
+    one: singular, and its elimination skips that column."""
+    a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+    j = rng.randrange(n - 1)
+    for row in a:
+        row[j] = 0
+    return a
+
+
 def test_int_det_matches_the_oracle_through_swaps_and_singular_matrices():
     rng = random.Random(21)
     cases = [[[0, 1], [1, 0]], [[0, 0], [0, 1]], [[1, 2], [2, 4]], [[0, 2, 0], [0, 0, 3], [5, 0, 0]]]
@@ -112,6 +140,7 @@ def test_int_det_matches_the_oracle_through_swaps_and_singular_matrices():
         n = rng.randint(2, 6)
         cases.append(_zero_leading_minor(rng, n))
         cases.append(_low_rank_matrix(rng, n, n, rng.randint(0, n - 1)))
+        cases.append(_zero_column(rng, n))
     signs = {(d > 0) - (d < 0) for d in map(_det_int, cases)}
     assert signs == {-1, 0, 1}
     for a in cases:
@@ -136,6 +165,10 @@ def test_int_solve_through_zero_leading_minors_and_negative_determinants():
         oracle = oracle_solve(a, rhs)
         assert [[F(v, den) for v in x] for x in nums] == oracle, (a, rhs)
     assert negative >= 50
+    for _ in range(100):
+        n = rng.randint(2, 6)
+        a = _zero_column(rng, n)
+        assert _linalg.int_solve(a, [[rng.randint(-6, 6) for _ in range(n)]]) is None, a
 
 
 def _first_nonpositive_minor(a):
@@ -176,3 +209,21 @@ def test_int_ldl_stops_at_the_first_nonpositive_leading_minor():
             _linalg.int_ldl(a)
         assert info.value.index == index, a
     assert seen["swap"] >= 50 and seen["negative"] >= 50, seen
+    # a zero row and column, or a copy of an earlier one, before a nonzero
+    # one: elimination skips that column
+    at_copy = 0
+    for _ in range(100):
+        n = rng.randint(2, 6)
+        c = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n + 1)]
+        a = [[sum(r[i] * r[j] for r in c) for j in range(n)] for i in range(n)]
+        j = rng.randrange(n - 1)
+        i = rng.randrange(j + 1)
+        source = [0] * n if i == j else a[i][:]
+        for k in range(n):
+            a[j][k] = a[k][j] = source[k]
+        a[j][j] = source[i]
+        with pytest.raises(_linalg.NonPositivePivot) as info:
+            _linalg.int_ldl(a)
+        assert info.value.index == _first_nonpositive_minor(a), a
+        at_copy += info.value.index == j + 1
+    assert at_copy >= 50, at_copy

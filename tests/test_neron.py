@@ -67,9 +67,11 @@ def test_theta_at_divisor_raises():
 
 
 def test_theta_bad_modulus():
-    for q in (0.0, 1.0, 1.5, -2.0):
+    for q in (0.0, 1.0, 1.5, -2.0, None, [0.5], "q"):
         with pytest.raises(BadModulusError):
             tate_theta_log_abs(q, -1.0)
+        with pytest.raises(BadModulusError):
+            tate_local_height(q, -1.0)
 
 
 def test_theta_outside_the_float_range_is_rejected():
@@ -90,6 +92,28 @@ def test_theta_outside_the_float_range_is_rejected():
     with pytest.raises(AtDivisorError, match="q\\^-300"):
         tate_theta_log_abs(0.1, 1e300 * (1 + 1e-12), 400)
     assert math.isfinite(tate_theta_log_abs(0.1, 3e300, 400).tail_bound)
+
+
+def test_local_height_reads_the_checked_q_and_z():
+    assert tate_local_height("0.5", -1.0) == tate_local_height(0.5, -1.0)
+    assert tate_local_height("0.3+0.2j", "-0.7+0.1j", 256) == tate_local_height(
+        0.3 + 0.2j, -0.7 + 0.1j, 256)
+
+
+def test_points_that_are_not_numbers_are_rejected():
+    for bad in (None, [0.5], "z"):
+        with pytest.raises(OutOfRangeError, match="z must be a complex number"):
+            tate_local_height(0.5, bad)
+        with pytest.raises(OutOfRangeError, match="z must be a complex number"):
+            tate_theta_log_abs(0.5, bad)
+
+
+def test_theta_term_counts_must_be_ints():
+    for call in (lambda: tate_theta_log_abs(0.5, -1.0, 2.5),
+                 lambda: tate_local_height(0.5, -1.0, 300.0),
+                 lambda: tate_local_height(0.5, -1.0, "64")):
+        with pytest.raises(ValueError, match="n_terms must be an int"):
+            call()
 
 
 def test_theta_matches_term_by_term_oracle_seeded():
