@@ -251,7 +251,7 @@ def _cmd_neron(args) -> dict:
         raise DomainError("neron", "--z-re,--z-im", str(exc)) from None
     return {
         "mode": "archimedean",
-        "value": neron._local_height(q, z, theta),
+        "value": neron.tate_local_height(q, z, terms),
         "log_abs_theta": theta.value,
         "theta_tail_bound": theta.tail_bound,
     }

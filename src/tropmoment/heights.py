@@ -118,12 +118,18 @@ class NonArchPlace:
                 self, "ord_delta", _as_int(self.ord_delta, "ord_delta", NegativeOrderError))
         if self.ord_delta < 0:
             raise NegativeOrderError("ord_delta must be >= 0")
-        try:
-            positive = self.log_nv > 0
-        except TypeError:  # not a real number
-            positive = False
-        if not positive:
+        log_nv = self.log_nv
+        # an int, a float or a Fraction is kept as a float, a float as itself
+        if type(log_nv) is not float and isinstance(log_nv, (int, float, Fraction)):
+            try:
+                log_nv = float(log_nv)
+            except OverflowError:  # an int or a Fraction past the float range
+                log_nv = math.inf
+            object.__setattr__(self, "log_nv", log_nv)
+        if type(log_nv) is not float or not log_nv > 0:
             raise ValueError(f"log_nv must be a positive number, got {self.log_nv!r}")
+        if log_nv == math.inf:
+            raise FloatRangeError("log_nv exceeds the binary64 range")
         if _weight(self) == math.inf:
             raise FloatRangeError("ord_delta * log_nv exceeds the binary64 range")
 

@@ -175,8 +175,13 @@ def _check_tate_arch(rng, count) -> CheckResult:
         theta_z = tate_theta_log_abs(q, z, 256).value
         if abs(theta_qz - theta_z + math.log(abs(z))) > 1e-10:
             return CheckResult("tate-theta-quasi-periodicity", False, f"q={q} z={z}")
-        if abs(tate_local_height(q, q * z, 256) - tate_local_height(q, z, 256)) > 1e-10:
+        lam = tate_local_height(q, z, 256)
+        if abs(tate_local_height(q, q * z, 256) - lam) > 1e-10:
             return CheckResult("tate-lambda-periodicity", False, f"q={q} z={z}")
+        # the reduced pair against the raw product at q and z
+        log_q = math.log(abs(q))
+        if abs(lam - ((-log_q / 2) * b2(math.log(abs(z)) / log_q) - theta_z)) > 1e-10:
+            return CheckResult("tate-lambda-reduction", False, f"q={q} z={z}")
         t = rng.uniform(-3, 3)
         if abs(float(b2(t + 1) - b2(t)) - 2 * t) > 1e-12:
             return CheckResult("b2-step-identity", False, f"t={t}")

@@ -3,6 +3,7 @@ import math
 import random
 import re
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -179,6 +180,31 @@ def test_place_order_must_be_an_int():
         NonArchPlace(1.5, 1.0)
     place = NonArchPlace(True, 1.0)
     assert (type(place.ord_delta), place.ord_delta) == (int, 1)
+
+
+@pytest.mark.parametrize("log_nv, expected", [(2, 2.0), (1.5, 1.5), (F(3, 2), 1.5)])
+def test_place_log_nv_is_kept_as_a_float(log_nv, expected):
+    place = NonArchPlace(1, log_nv)
+    assert (type(place.log_nv), place.log_nv) == (float, expected)
+    report = height_identity_report(EllipticPlaces(degree=1, nonarch=(place,), arch=(1j,)))
+    assert type(report.terms["nonarch"][0]["log_nv"]) is float
+    assert abs(report.residual) < 1e-12
+
+
+@pytest.mark.parametrize("log_nv", [Decimal("1.5"), "1.5", 1.5 + 0j])
+def test_place_log_nv_of_another_type_is_rejected(log_nv):
+    with pytest.raises(ValueError, match="log_nv must be a positive number"):
+        NonArchPlace(1, log_nv)
+
+
+def test_place_log_nv_past_the_float_range_is_rejected():
+    with pytest.raises(FloatRangeError, match="log_nv exceeds"):
+        NonArchPlace(1, 10**400)
+    with pytest.raises(FloatRangeError, match="log_nv exceeds"):
+        NonArchPlace(1, F(10**400, 3))
+    # an infinite log Nv with ord_delta = 0 would make every report nan
+    with pytest.raises(FloatRangeError, match="log_nv exceeds"):
+        NonArchPlace(0, math.inf)
 
 
 def test_places_degree_must_be_an_int():

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import oracle_tate_theta_log_abs
 from tropmoment.heights import SERIES_TERM_BUDGET, SeriesBudgetError
+from tropmoment import neron
 from tropmoment.lattice import validate
 from tropmoment.neron import (
     AtDivisorError,
@@ -263,3 +264,88 @@ def test_lambda_matches_tropical_envelope_smoke():
         ]
         target = float(tate_local_height_tropical(ell, nu) + F(ell, 12))
         assert abs(min(samples) - target) < 1e-2
+
+
+def _raw_local_height(q, z, theta_log_abs):
+    """(l/2) B2(log|z|/log|q|) - log|theta(z)| at the unreduced q and z."""
+    log_q = math.log(abs(q))
+    return (-log_q / 2) * b2(math.log(abs(z)) / log_q) - theta_log_abs
+
+
+def test_reduced_local_height_matches_term_by_term_oracle_seeded():
+    # the raw product summed to 1e-15 term by term, against the reduced pair
+    rng = random.Random(25)
+    for _ in range(1000):
+        q = rng.uniform(0.03, 0.9) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        if rng.random() < 0.2:
+            q = math.copysign(abs(q), q.real)
+        log_r = rng.choice([0.0, rng.uniform(-1, 1), rng.uniform(-40, 40)])
+        z = math.exp(log_r) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        theta, _ = oracle_tate_theta_log_abs(q, z, 5000)
+        expected = _raw_local_height(q, z, theta)
+        scale = max(1.0, abs(expected + theta), abs(theta))
+        assert abs(tate_local_height(q, z) - expected) <= 1e-12 * scale
+
+
+def test_local_height_is_invariant_under_sl2z_seeded():
+    # (tau, u) -> (g tau, u / (c tau + d)) for seeded g in SL2(Z) with
+    # entries up to 5: the same curve and point in another period basis
+    rng = random.Random(26)
+    for _ in range(300):
+        tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.3, 2.0))
+        u = rng.uniform(0.05, 0.95) + rng.uniform(0.05, 0.95) * tau
+        while True:
+            a, b, c, d = (rng.randint(-5, 5) for _ in range(4))
+            if a * d - b * c == 1:
+                break
+        j = c * tau + d
+        expected = tate_local_height(cmath.exp(2j * math.pi * tau), cmath.exp(2j * math.pi * u))
+        got = tate_local_height(cmath.exp(2j * math.pi * (a * tau + b) / j),
+                                cmath.exp(2j * math.pi * u / j))
+        assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+def test_reduced_local_height_is_periodic_at_the_default_terms():
+    # |q| up to 0.7: the raw 64-term product misses 1e-10 on 13 of these
+    rng = random.Random(20260810)
+    for _ in range(4000):
+        r = rng.uniform(0.05, 0.7)
+        q = r * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        z = cmath.exp(1j * rng.uniform(0.3, 2 * math.pi - 0.3)) * math.exp(
+            rng.uniform(-0.2, 0.2)
+        )
+        assert abs(tate_local_height(q, q * z) - tate_local_height(q, z)) < 1e-12
+
+
+def test_reduced_local_height_is_finite_at_extreme_moduli():
+    # after S, q and z underflow: q near 1 in any direction, and a tiny q
+    for q in (0.99999999, -0.99999999, 0.9999999999j, 1e-300):
+        assert math.isfinite(tate_local_height(q, 1e150))
+    # where the raw product raises, the reduced one still has a value
+    with pytest.raises(OutOfRangeError, match="no tail bound"):
+        tate_theta_log_abs(0.5, 5.0, 1)
+    assert math.isfinite(tate_local_height(0.5, 5.0, 1))
+    with pytest.raises(SeriesBudgetError):
+        tate_theta_log_abs(0.99999999, -1.0, 10**9)
+    # lambda(-1) = pi^2 / (6 l) + O(l) as l -> 0
+    ell = -math.log(0.99999999)
+    expected = -math.pi**2 / (6 * ell)
+    assert abs(tate_local_height(0.99999999, -1.0, 10**9) - expected) < 1e-6 * abs(expected)
+
+
+def test_reduced_series_takes_at_most_eight_pairs(monkeypatch):
+    counts = []
+    term_count = neron._term_count
+
+    def counted(n_terms, estimate, tail):
+        n, bound = term_count(n_terms, estimate, tail)
+        counts.append(n)
+        return n, bound
+
+    monkeypatch.setattr(neron, "_term_count", counted)
+    rng = random.Random(27)
+    for _ in range(500):
+        q = rng.uniform(1e-3, 0.999) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        z = math.exp(rng.uniform(-300, 300)) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        tate_local_height(q, z, rng.choice([8, 64, 10**9]))
+    assert counts and max(counts) <= 8
