@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .lattice import _as_fraction, _as_int
+from .lattice import _as_complex, _as_fraction, _as_int
 
 __all__ = [
     "KAPPA0",
@@ -185,12 +185,7 @@ class HeightReport:
 
 
 def _check_tau(tau: complex) -> complex:
-    try:
-        tau = complex(tau)
-    except (TypeError, ValueError, OverflowError):
-        raise NonPositiveImaginaryPartError(
-            f"period must be a complex number in the upper half plane, got {tau!r}"
-        ) from None
+    tau = _as_complex(tau, "period", NonPositiveImaginaryPartError)
     if not tau.imag > 0:
         raise NonPositiveImaginaryPartError(
             f"period must lie in the upper half plane, got {tau!r}"

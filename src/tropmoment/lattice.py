@@ -87,6 +87,16 @@ def _as_int(value, name: str, error: type[ValueError]) -> int:
         raise error(f"{name} must be an int, got {value!r}") from None
 
 
+def _as_complex(value, name: str, error: type[ValueError]) -> complex:
+    """The library's one rule for complex arguments: what ``complex()`` reads, or ``error``."""
+    if type(value) is complex:
+        return value
+    try:
+        return complex(value)
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"{name} must be a complex number, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class GramLattice:
     """A rank-g free lattice with a positive definite rational Gram matrix,

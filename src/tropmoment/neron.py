@@ -41,7 +41,7 @@ import sys
 from fractions import Fraction
 
 from .heights import _BLOCK, _TAIL_TARGET, DEFAULT_TERMS, SeriesValue, _term_count
-from .lattice import _as_fraction, _as_int
+from .lattice import _as_complex, _as_fraction, _as_int
 
 __all__ = [
     "AtDivisorError",
@@ -82,10 +82,7 @@ def b2(t):
 
 
 def _check_modulus(q: complex) -> complex:
-    try:
-        q = complex(q)
-    except (TypeError, ValueError, OverflowError):
-        raise BadModulusError(f"q must be a complex number, got {q!r}") from None
+    q = _as_complex(q, "q", BadModulusError)
     abs_q = math.hypot(q.real, q.imag)
     if not sys.float_info.min <= abs_q < 1.0:
         raise BadModulusError(
@@ -98,10 +95,7 @@ def _check_off_divisor(q: complex, z) -> tuple[complex, float, float]:
     """``(z, log|q|, log|z|)`` with z as a complex number.  Reject a z that
     ``complex()`` refuses, z within relative distance 1e-9 of some q^n, and
     a |z| whose reciprocal or modulus leaves the binary64 range."""
-    try:
-        z = complex(z)
-    except (TypeError, ValueError, OverflowError):
-        raise OutOfRangeError(f"z must be a complex number, got {z!r}") from None
+    z = _as_complex(z, "z", OutOfRangeError)
     if z == 0:
         raise AtDivisorError("z must be nonzero")
     abs_z = math.hypot(z.real, z.imag)

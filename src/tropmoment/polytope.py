@@ -22,10 +22,11 @@ pairs, so the polytope before each step is symmetric: the vertices cut on
 -u are the negations of those cut on u, and are tight on the mirror of
 their mask (each facet bit sent to that of its negation).  A vertex is kept
 when its slacks s on u and 2 b_k w - s on -u are both >= 0, so the edges
-are searched once per pair.  Only ``Polytope.vertices`` is in Q.  The
-sweep may hold at most VERTEX_BUDGET vertices at once; a rank whose 2^g
-start corners already exceed it is refused before the relevant vectors
-are searched.
+are searched once per pair, and each vertex is handed on with its mask.
+Only the ``HalfSpace`` fields and ``Polytope.vertices`` are in Q.  The sweep
+may hold at most VERTEX_BUDGET vertices at once; a rank whose 2^g start
+corners already exceed it is refused before the relevant vectors are
+searched.
 
 Volumes and moments are computed in coordinate Lebesgue measure over a
 star triangulation: origin cone over facet triangulations, each face
@@ -54,18 +55,20 @@ moment, so it never appears.  The per-simplex closed form
 follows from the barycentric moments E[t_i t_j] = (1 + delta_ij) /
 ((g+1)(g+2)) on a g-simplex; the origin vertex adds nothing.  It needs the
 norms of the vertices and one Gram product per simplex, and no table of
-vertex pairs.  Each cell is scaled to integers and validated once, and its
-integer sums are divided once, at the end.
+vertex pairs.  Each cell is held in integers from its constraints to its
+moment, and its integer sums are divided once, at the end.
 
-Each fact about a cell is checked once, in integers: ``Polytope._index``
-checks its vertices, with one product per facet pair +-u, and builds
-``_facets``, ``_negation`` (the index of -v, or None) and ``_mirror``
-(``_mirrors`` of its integer rows).  Each star reads them: it checks that
-every half-space supports a facet, that the vertices are closed under
-negation, that ``_mirror`` pairs every half-space, and that no simplex it
-integrates is flat.  The cell is then full-dimensional (0 is the midpoint
-of v and -v) and every pair adds a positive volume, so nothing else checks
-either.
+Each fact about a cell is derived once, in integers: double description
+returns the vertex rows, their tight masks and ``_mirror`` (``_mirrors`` of
+the constraints 2 den G u . x <= den [u, u]), ``Polytope(halfspaces,
+vertices)`` finds the masks of a caller's vertices with one product per
+vertex and half-space, and ``Polytope._index`` turns the masks into
+``_facets`` and finds ``_negation`` (the index of -v, or None).  Each star
+reads them: it checks that every half-space supports a facet, that the
+vertices are closed under negation, that ``_mirror`` pairs every
+half-space, and that no simplex it integrates is flat.  The cell is then
+full-dimensional (0 is the midpoint of v and -v) and every pair adds a
+positive volume, so nothing else checks either.
 
 Each lattice keeps the cell ``voronoi_cell`` built for it, and each cell
 keeps its facet orbits, its star over one facet per orbit, its half star
@@ -133,15 +136,14 @@ class HalfSpace:
 
 @dataclass(frozen=True, init=False)
 class Polytope:
-    """H- and V-representation.  ``_index``, the one check, validates the
-    vertices as integer rows ``_scaled`` over one denominator ``_den`` and
-    keeps each half-space's tight vertices as the bitmask ``_facets[k]`` (bit
-    i for vertex i), the index ``_negation[i]`` of -v_i (or None),
-    ``_mirror = _mirrors(a, b)`` and ``_orbits``, the facet orbits of
-    ``_facet_orbits`` (None: the pairs +-u).  ``Polytope(halfspaces,
-    vertices)`` scales its vertices for it and knows no orbits, and
-    ``voronoi_cell`` hands it the rows of double description, then sets
-    the orbits.  The stars read them and check the rest."""
+    """H- and V-representation, held as the vertices' integer rows
+    ``_scaled`` over one denominator ``_den``, each half-space's tight
+    vertices as the bitmask ``_facets[k]`` (bit i for vertex i), the index
+    ``_negation[i]`` of -v_i (or None), ``_mirror = _mirrors(a, b)`` and
+    ``_orbits``, the facet orbits of ``_facet_orbits`` (None: the pairs
+    +-u).  ``Polytope(halfspaces, vertices)`` checks its vertices and knows
+    no orbits; ``voronoi_cell`` hands ``_index`` the rows, masks and mirror
+    of double description, then sets the orbits."""
 
     halfspaces: tuple[HalfSpace, ...]
     vertices: tuple[tuple[Fraction, ...], ...]
@@ -152,36 +154,35 @@ class Polytope:
             raise ValueError("half-spaces must be nonempty and of one dimension")
         if any(len(v) != dim for v in vertices):
             raise ValueError(f"every vertex must have {dim} coordinates")
-        flat, den = _linalg.integer_row([_as_fraction(c) for v in vertices for c in v])
+        points = [tuple(map(_as_fraction, v)) for v in vertices]
+        flat, den = _linalg.integer_row([c for v in points for c in v])
         scaled = [tuple(flat[i:i + dim]) for i in range(0, len(flat), dim)]
-        self._index(halfspaces, scaled, den, *_integer_constraints(halfspaces))
-
-    def _index(self, halfspaces, scaled, den, a, b):
-        dim = len(a[0])
-        vertices = tuple(tuple(Fraction(c, den) for c in x) for x in scaled)
-        mirror = _mirrors(a, b)
-        # One product val per mutual pair k < m (mirror[k] = m, mirror[m] = k),
-        # -val on m; an unpaired or duplicated half-space keeps its own (m = None).
-        mutual = [m if m not in (None, k) and mirror[m] == k else None
-                  for k, m in enumerate(mirror)]
-        constraints = [(row, off * den, k, m) for k, (row, off, m)
-                       in enumerate(zip(a, b, mutual)) if m is None or m > k]
-        facets = [0] * len(a)
-        for i, (v, x) in enumerate(zip(vertices, scaled)):
-            tight = 0
-            for row, off, k, m in constraints:
+        a, b = _integer_constraints(halfspaces)
+        constraints = [(row, off * den) for row, off in zip(a, b)]
+        masks = []
+        for v, x in zip(points, scaled):
+            mask = 0
+            for k, (row, off) in enumerate(constraints):
                 val = sum(map(mul, row, x))
-                if val > off or m is not None and -val > off:
+                if val > off:
                     raise ValueError(f"vertex {v} violates a half-space")
-                if val == off or m is not None and -val == off:
-                    facets[k if val == off else m] |= 1 << i
-                    tight += 1
-            if tight < dim:
+                if val == off:
+                    mask |= 1 << k
+            if mask.bit_count() < dim:
                 raise ValueError(f"vertex {v} is tight on fewer than {dim} facets")
+            masks.append(mask)
+        self._index(halfspaces, scaled, den, masks, _mirrors(a, b))
+
+    def _index(self, halfspaces, scaled, den, masks, mirror):
+        facets = [0] * len(halfspaces)
+        for i, mask in enumerate(masks):
+            for k in _bits(mask):
+                facets[k] |= 1 << i
         index = {x: i for i, x in enumerate(scaled)}
         if len(index) != len(scaled):
             raise ValueError("vertex list has duplicates")
         negation = tuple(index.get(tuple(-c for c in x)) for x in scaled)
+        vertices = tuple(tuple(Fraction(c, den) for c in x) for x in scaled)
         self.__dict__.update(
             halfspaces=halfspaces, vertices=vertices, _scaled=tuple(scaled), _den=den,
             _facets=tuple(facets), _negation=negation, _mirror=mirror, _orbits=None)
@@ -201,8 +202,7 @@ class Polytope:
 
 
 def _integer_constraints(halfspaces) -> tuple[list[list[int]], list[int]]:
-    """Scale each constraint to integers; a positive row scale changes
-    neither the half-space nor any solve or sign test below."""
+    """Each constraint scaled to integers: a positive scale keeps every sign test."""
     rows = [_linalg.integer_row(hs.row + (hs.offset,))[0] for hs in halfspaces]
     return [row[:-1] for row in rows], [row[-1] for row in rows]
 
@@ -217,8 +217,9 @@ def _mirrors(a, b) -> list[int | None]:
 def _vertices_dd(a, b, g) -> tuple[list[tuple[int, ...]], int]:
     """Double description from the parallelotope of g independent facet pairs,
     on primitive integer homogeneous vertices (x, w) with w > 0.  The facets
-    must come in pairs: a_k' = -a_k, b_k' = b_k.  Returns ``(rows, den)``:
-    the sorted rows x den / w, den = lcm of the w, in the order of the x / w."""
+    must come in pairs: a_k' = -a_k, b_k' = b_k.  Returns ``(rows, den,
+    masks, mirror)``: the sorted rows x den / w, den = lcm of the w, in the
+    order of the x / w, the facets each is tight on, and ``_mirrors(a, b)``."""
     # mirror[k]: the facet of -u, so -v is tight on mirror(mask of v).
     mirror = _mirrors(a, b)
     start: list[int] = []
@@ -282,7 +283,9 @@ def _vertices_dd(a, b, g) -> tuple[list[tuple[int, ...]], int]:
             next_masks += [mask, sum(1 << mirror[j] for j in _bits(mask))]
         verts, masks = next_verts, next_masks
     den = lcm(*{v[g] for v in verts})
-    return sorted(tuple(c * (den // v[g]) for c in v[:g]) for v in verts), den
+    rows, masks = zip(*sorted((tuple(c * (den // v[g]) for c in v[:g]), mask)
+                              for v, mask in zip(verts, masks)))
+    return list(rows), den, list(masks), mirror
 
 
 def _bits(mask: int):
@@ -308,18 +311,16 @@ def _build_cell(lat: GramLattice) -> Polytope:
         raise VertexBudgetError(
             f"double description starts from 2^{lat.rank} start corners, "
             f"more than {VERTEX_BUDGET} live vertices")
-    halfspaces = []
     relevant = relevant_vectors(lat)
-    for u in relevant:
-        au = _gram_image(lat, u)
-        halfspaces.append(HalfSpace(
-            normal=u,
-            row=tuple(Fraction(c, lat._den) for c in au),
-            offset=Fraction(sum(map(mul, u, au)), 2 * lat._den),
-        ))
-    a, b = _integer_constraints(halfspaces)
+    images = [_gram_image(lat, u) for u in relevant]
+    a = [[2 * c for c in au] for au in images]
+    b = [sum(map(mul, u, au)) for u, au in zip(relevant, images)]
+    halfspaces = tuple(
+        HalfSpace(normal=u, row=tuple(Fraction(c, lat._den) for c in au),
+                  offset=Fraction(off, 2 * lat._den))
+        for u, au, off in zip(relevant, images, b))
     cell = Polytope.__new__(Polytope)
-    cell._index(tuple(halfspaces), *_vertices_dd(a, b, lat.rank), a, b)
+    cell._index(halfspaces, *_vertices_dd(a, b, lat.rank))
     cell.__dict__["_orbits"] = _facet_orbits(relevant, a, b, cell._mirror)
     return cell
 

@@ -351,12 +351,16 @@ def test_cell_is_kept_on_its_lattice_only_after_a_build_within_budget(monkeypatc
 
 
 def test_cell_scales_its_constraints_once_for_the_sweep_and_the_checks(monkeypatch):
-    calls = count_calls(monkeypatch, polytope, "_integer_constraints")
+    # the integer constraints come from the products den G u that build the
+    # half-spaces, not from scaling their Fractions back, and double
+    # description pairs the facets for the checks too
+    scaled = count_calls(monkeypatch, polytope, "_integer_constraints")
+    paired = count_calls(monkeypatch, polytope, "_mirrors")
     lat = validate([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
     cell = voronoi_cell(lat)
     assert second_moment(lat) == F(3, 8) and volume(cell) == 1
     assert len(star_triangulation(cell)) == 2 * len(cell._star)
-    assert len(calls) == 1
+    assert (len(scaled), len(paired)) == (0, 1)
 
 
 def test_rank_whose_box_corners_exceed_the_vertex_budget_is_refused_first(monkeypatch):
@@ -512,12 +516,12 @@ def _per_halfspace_masks(poly):
 
 
 def test_paired_facets_equal_per_halfspace_masks():
-    # _index takes one product per facet pair +-u
+    # double description carries each vertex's tight facets through the sweep
     for gram in GOLD_GRAMS:
         cell = voronoi_cell(validate(gram))
         assert cell._facets == _per_halfspace_masks(cell)
-    # a duplicated side leaves one copy unpaired, and x <= 1 has no mirror:
-    # both keep a product of their own
+    # a duplicated side and x <= 1, which has no mirror, are each tight on
+    # their own vertices in the public constructor
     cell = voronoi_cell(ID2)
     side = next(hs for hs in cell.halfspaces if hs.normal == (1, 0))
     loose = HalfSpace(normal=(2, 0), row=(F(1), F(0)), offset=F(1))
@@ -549,15 +553,10 @@ RATIONAL_RANK4 = [[2, F(1, 3), 0, F(1, 2)], [F(1, 3), F(3, 2), F(-1, 5), 0],
 
 
 def test_cell_from_double_description_equals_the_public_constructor():
-    # voronoi_cell hands double description's integer rows to Polytope._index,
-    # and Polytope(halfspaces, vertices) scales Fractions for it: same cell
-    grams = [_cartan(n, [(i, i + 1) for i in range(n - 1)]) for n in range(2, 8)]
-    grams += [_cartan(4, [(0, 1), (1, 2), (1, 3)]),
-              _cartan(5, [(0, 1), (1, 2), (2, 3), (2, 4)]),
-              _cartan(6, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5)]),
-              _cartan(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)]),
-              _cartan(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6)]),
-              RATIONAL_RANK4]
+    # voronoi_cell hands Polytope._index double description's rows, tight
+    # masks and facet pairing; Polytope(halfspaces, vertices) derives them
+    # from the Fractions, with one product per vertex and half-space
+    grams = _orbit_grams() + [RATIONAL_RANK4]
     rng = random.Random(17)
     grams += [random_pd_gram(rng, max_rank=4) for _ in range(20)]
     for gram in grams:
@@ -593,7 +592,7 @@ def test_cell_vertices_do_not_depend_on_the_start(gram, dependent_start):
         firsts = list({frozenset((tuple(a[k]), tuple(-c for c in a[k]))): a[k]
                        for k in order}.values())
         skipped |= oracle_rank(firsts[:g]) < g
-        rows, den = polytope._vertices_dd([a[k] for k in order], [b[k] for k in order], g)
+        rows, den, _, _ = polytope._vertices_dd([a[k] for k in order], [b[k] for k in order], g)
         assert {tuple(F(c, den) for c in r) for r in rows} == expected
         assert rows == sorted(rows)
     assert skipped == dependent_start
