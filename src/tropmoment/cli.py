@@ -6,8 +6,8 @@ docs/formats.md; reports go to stdout as JSON (default) or flattened CSV.
 Exit status 0 on success, 2 on any validation failure, in which case a
 machine-readable error object naming the module and offending field path
 is printed instead.  Output is byte-identical for identical inputs,
-options and seeds, whatever the environment; ``--terms`` sets the series
-length where a truncated product is evaluated.
+options and seeds, whatever the environment; ``--terms`` caps the length
+of the reduced q-series, which stops by itself within 6 terms.
 
 The argument parser is built on the first call of ``main`` and is the only
 object kept for the life of the process; each command parses into a fresh
@@ -190,8 +190,9 @@ def _cmd_elliptic_height(args) -> dict:
     places = formats.load_places(formats.load_json_file(args.input, "heights"))
     try:
         report = heights.height_identity_report(places, _default_terms(args))
-    except heights.SeriesBudgetError as exc:
-        raise DomainError("heights", f"arch[{exc.index}].tau_im", str(exc)) from None
+    except heights.FloatRangeError as exc:
+        path = "arch" if exc.index is None else f"arch[{exc.index}].tau_im"
+        raise DomainError("heights", path, str(exc)) from None
     return {
         "lhs": report.lhs,
         "rhs": report.rhs,
@@ -245,7 +246,7 @@ def _cmd_neron(args) -> dict:
     terms = _default_terms(args)
     try:
         theta = neron.tate_theta_log_abs(q, z, terms)
-    except (neron.BadModulusError, heights.SeriesBudgetError) as exc:
+    except neron.BadModulusError as exc:
         raise DomainError("neron", "--q-re,--q-im", str(exc)) from None
     except (neron.AtDivisorError, neron.OutOfRangeError) as exc:
         raise DomainError("neron", "--z-re,--z-im", str(exc)) from None

@@ -16,7 +16,7 @@ import math
 import re
 from fractions import Fraction
 
-from .heights import EllipticPlaces, FloatRangeError, NonArchPlace, _q_in_range
+from .heights import EllipticPlaces, FloatRangeError, NonArchPlace
 from .lattice import GramLattice, LatticeError, validate
 from .metricgraph import DisconnectedGraphError, Edge, MetricGraph
 
@@ -184,12 +184,7 @@ def load_places(obj) -> EllipticPlaces:
         if not im_part > 0:
             raise DomainError(module, f"arch[{i}].tau_im",
                               "period must lie in the upper half plane")
-        tau = complex(re_part, im_part)
-        try:
-            _q_in_range(tau)
-        except FloatRangeError as exc:
-            raise DomainError(module, f"arch[{i}].tau_im", str(exc)) from None
-        arch.append(tau)
+        arch.append(complex(re_part, im_part))
     try:
         return EllipticPlaces(degree=degree, nonarch=tuple(nonarch), arch=tuple(arch))
     except FloatRangeError as exc:  # the nonarch terms overflow in sum

@@ -5,8 +5,13 @@ The discriminant modular form is evaluated through its q-product,
     log|delta(tau)| = log|q| + 24 * sum_{n>=1} log|1 - q^n|,
     q = exp(2 pi i tau),   Im tau > 0,
 
-with a reported truncation bound.  The archimedean local invariant of an
-elliptic curve with period tau is
+with a reported truncation bound, at the period reduced into the SL2(Z)
+fundamental domain first: delta has weight 12, so log|delta(tau)| =
+log|delta(tau')| - 12 log|c tau + d| for tau' = (a tau + b)/(c tau + d).
+There Im tau' > 0.865, so |q| < 4.4e-3, and at most 6 terms reach
+1e-15 for any period.  The reduction and the short product are shared
+with Tate's theta in :mod:`tropmoment.neron`.  The archimedean local
+invariant of an elliptic curve with period tau is
 
     -(1/24) * ( log|delta(tau)| + 6 log(2 Im tau) )
 
@@ -39,7 +44,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -55,8 +59,6 @@ __all__ = [
     "NonPositiveImaginaryPartError",
     "NegativeOrderError",
     "FloatRangeError",
-    "SeriesBudgetError",
-    "SERIES_TERM_BUDGET",
     "log_abs_delta",
     "arch_local_invariant",
     "nonarch_local_invariant",
@@ -70,12 +72,9 @@ KAPPA0 = math.log(math.pi * math.sqrt(2.0))
 
 DEFAULT_TERMS = 64
 _TAIL_TARGET = 1e-15
-# Most terms one q-series may sum: 10**6 Tate factor pairs take about 0.3 s.
-SERIES_TERM_BUDGET = 10**6
-# Factors multiplied before one log is taken.  Each factor 1 - w has
-# |w| <= 2, so a block of 16 (or 16 pairs) stays below 3^32, and it stays
-# far from underflow, as |1 - w| is small for at most a few w.
-_BLOCK = 16
+_TWO_PI = 2.0 * math.pi
+# -log of the least normal binary64 number: past it q is not a normal number
+_LOG_FLOAT_MIN = -math.log(sys.float_info.min)
 
 
 class NonPositiveImaginaryPartError(ValueError):
@@ -87,13 +86,9 @@ class NegativeOrderError(ValueError):
 
 
 class FloatRangeError(ValueError):
-    """An input whose binary64 evaluation would overflow or underflow."""
-
-
-class SeriesBudgetError(ValueError):
-    """A series that would sum more than SERIES_TERM_BUDGET terms.  The sums
-    over the embeddings of :class:`EllipticPlaces` set ``index`` to the
-    position of the period that raised it."""
+    """An input whose binary64 evaluation would overflow or underflow.  For
+    one period of an :class:`EllipticPlaces`, ``index`` is its position;
+    for a sum over the embeddings it stays None."""
 
     index: int | None = None
 
@@ -190,102 +185,85 @@ def _check_tau(tau: complex) -> complex:
         raise NonPositiveImaginaryPartError(
             f"period must lie in the upper half plane, got {tau!r}"
         )
-    if tau.imag < 0.1:
-        warnings.warn(
-            "Im tau < 0.1: no modular reduction is applied; the series "
-            "needs many terms and the input may be a mistake",
-            stacklevel=3,
-        )
     return tau
 
 
-def log_abs_delta(tau: complex, n_terms: int = DEFAULT_TERMS) -> SeriesValue:
-    """log|delta(tau)| by the truncated q-product.
+def _check_terms(n_terms) -> int:
+    n_terms = _as_int(n_terms, "n_terms", ValueError)
+    if n_terms < 1:
+        raise ValueError("n_terms must be >= 1")
+    return n_terms
 
-    The term count is chosen first: the first n whose tail bound
-    48 |q|^(n+1) / (1-|q|)^2 drops below 1e-15, or n_terms.  The factors
-    are then multiplied in blocks of 16, with one log per block, and the
-    bound at that n is returned alongside.  A count past
-    SERIES_TERM_BUDGET raises SeriesBudgetError.
+
+def log_abs_delta(tau: complex, n_terms: int = DEFAULT_TERMS) -> SeriesValue:
+    """log|delta(tau)| = log|delta(tau')| - 12 sum_k log|tau_k| for the
+    reduced period tau' of ``_reduce_period``, since delta has weight 12;
+    log|delta(tau')| = log|q'| + 12 ``_q_product(tau', 1)``, with that
+    product's tail bound, times 12, alongside.  A period whose value leaves
+    binary64 raises FloatRangeError.
     """
     return _log_abs_delta(_check_tau(tau), n_terms)
 
 
-def _term_count(n_terms: int, estimate: float, tail) -> tuple[int, float]:
-    """``(n, tail(n))`` for the first n in 1..n_terms with
-    ``tail(n) < 1e-15``, or for n_terms if there is none: the term at which
-    the series stops, and its bound.  The search starts from ``estimate``,
-    found from logs, and steps by one, so that the bound's own expression
-    ``tail``, falling in n, decides.  A count past SERIES_TERM_BUDGET
-    raises SeriesBudgetError."""
-    cap = min(n_terms, SERIES_TERM_BUDGET + 1)
-    n = min(max(math.ceil(estimate), 1), cap)
-    bound = tail(n)
-    if bound < _TAIL_TARGET:
-        while n > 1:
-            below = tail(n - 1)
-            if not below < _TAIL_TARGET:
-                break
-            n, bound = n - 1, below
-    else:
-        while n < cap and not bound < _TAIL_TARGET:
-            n += 1
-            bound = tail(n)
-    if n > SERIES_TERM_BUDGET:
-        raise SeriesBudgetError(
-            f"the q-series needs more than its budget of {SERIES_TERM_BUDGET} "
-            "terms: |q| is too close to 1"
-        )
-    return n, bound
+def _reduce_period(tau: complex, u: complex = 0j) -> tuple[complex, complex, float]:
+    """``(tau', u', log|c tau + d|)`` for tau' = (a tau + b) / (c tau + d) in
+    the SL2(Z) fundamental domain and u' = u / (c tau + d): T and S until
+    |Re tau'| <= 1/2 and |tau'|^2 >= 0.999, so that Im tau' > 0.865 (Cohen,
+    GTM 138, Alg. 7.4.2).  S sends tau to -1/tau and u to u / tau, and
+    log|c tau + d| is the sum of log|tau_k| over the tau_k before each S.
+    An S-image past the float range raises OverflowError."""
+    log_j = 0.0
+    while True:
+        tau -= round(tau.real)
+        if tau.real * tau.real + tau.imag * tau.imag >= 0.999:
+            return tau, u, log_j
+        log_j += math.log(abs(tau))
+        u /= tau
+        tau = -1.0 / tau
 
 
-# Unchecked forms for periods already checked: one warning per input.
-def _log_abs_delta(tau: complex, n_terms: int) -> SeriesValue:
-    n_terms = _as_int(n_terms, "n_terms", ValueError)
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
-    q = _q_in_range(tau)
-    abs_q = abs(q)
-    gap_sq = (1.0 - abs_q) ** 2
-
-    def tail(n: int) -> float:
-        return 48.0 * abs_q ** (n + 1) / gap_sq
-
-    log_q = math.log(abs_q)  # = -2 pi Im tau
-    estimate = math.log(_TAIL_TARGET / 48.0 * gap_sq) / log_q - 1.0
-    stop, bound = _term_count(n_terms, estimate, tail)
-    total = log_q
+def _q_product(tau: complex, z: complex, n_terms: int) -> SeriesValue:
+    """sum_{n>=1} log|(1 - q^n z)(1 - q^n / z)| for q = exp(2 pi i tau), on a
+    reduced pair: Im tau > 0.865 and |q|^(1/2) <= |z| <= 1.  It stops at the
+    first n whose tail bound |q|^(n+1) (|z| + 1/|z|) / ((1 - |q|)(1 -
+    |q|^(n+1) / |z|)) drops below 1e-15, at most 6 terms, or at n_terms, and
+    returns that bound.  Once |q| is below the normal binary64 numbers
+    every factor is 1 to within |q|^(1/2) < e^-354, and the sum is 0."""
+    ell = _TWO_PI * tau.imag  # -log|q|
+    if ell > _LOG_FLOAT_MIN:
+        return SeriesValue(0.0, 2.0 * math.exp(-ell / 2.0))
+    abs_q, abs_z = math.exp(-ell), abs(z)
+    # Re tau mod 1 first, so that tau and tau + 1 give the same q bit for bit
+    angle = _TWO_PI * (tau.real - math.floor(tau.real))
+    q = complex(abs_q * math.cos(angle), abs_q * math.sin(angle))
+    z_inv = 1.0 / z
+    spread = (abs_z + 1.0 / abs_z) / (1.0 - abs_q)
+    power = abs_q
     q_pow = prod = complex(1.0)
-    for n in range(1, stop + 1):
+    for _ in range(n_terms):
         q_pow *= q
-        prod *= 1.0 - q_pow  # |1 - q^n| lies in [1 - |q|, 2]
-        if not n % _BLOCK:  # one log per block
-            total += 24.0 * math.log(abs(prod))
-            prod = complex(1.0)
-    total += 24.0 * math.log(abs(prod))
-    return SeriesValue(total, bound)
+        prod *= (1.0 - q_pow * z) * (1.0 - q_pow * z_inv)
+        power *= abs_q  # |q|^(n+1)
+        bound = power * spread / (1.0 - power / abs_z)
+        if bound < _TAIL_TARGET:
+            break
+    return SeriesValue(math.log(abs(prod)), bound)
 
 
-def _q_in_range(tau: complex) -> complex:
-    """q = exp(2 pi i tau), whose modulus must be a normal binary64 number
-    below 1: past Im tau of about 112 it underflows (log|q| is then
-    undefined or inexact), and below about 2e-17 it rounds to 1 (the tail
-    bound divides by 1 - |q|)."""
-    q = _cexp_2pii(tau)
-    if not sys.float_info.min <= abs(q) < 1.0:
+# Unchecked form for periods already checked
+def _log_abs_delta(tau: complex, n_terms: int) -> SeriesValue:
+    n_terms = _check_terms(n_terms)
+    try:
+        reduced, _, log_j = _reduce_period(tau)
+        ell = _TWO_PI * reduced.imag  # -log|q'|
+        if ell == math.inf:
+            raise OverflowError
+    except OverflowError:  # tau' or log|q'| past the float range
         raise FloatRangeError(
-            f"Im tau = {tau.imag!r} gives |q| = exp(-2 pi Im tau) = {abs(q)!r}, "
-            "outside the normal binary64 numbers below 1"
-        )
-    return q
-
-
-def _cexp_2pii(tau: complex) -> complex:
-    # exp(2 pi i tau); Re tau is reduced mod 1 first so that tau and
-    # tau + 1 produce the same q bit for bit
-    r = math.exp(-2.0 * math.pi * tau.imag)
-    angle = 2.0 * math.pi * (tau.real - math.floor(tau.real))
-    return complex(r * math.cos(angle), r * math.sin(angle))
+            f"log|delta(tau)| at tau = {tau!r} exceeds the binary64 range"
+        ) from None
+    series = _q_product(reduced, 1.0, n_terms)
+    return SeriesValue(12.0 * (series.value - log_j) - ell, 12.0 * series.tail_bound)
 
 
 def arch_local_invariant(tau: complex, n_terms: int = DEFAULT_TERMS) -> float:
@@ -323,7 +301,7 @@ def _log_deltas(places: EllipticPlaces, n_terms: int) -> list[float]:
     for i, tau in enumerate(places.arch):
         try:
             log_deltas.append(_log_abs_delta(tau, n_terms).value)
-        except SeriesBudgetError as exc:
+        except FloatRangeError as exc:
             exc.index = i
             raise
     return log_deltas
@@ -340,7 +318,11 @@ def _faltings_height(places: EllipticPlaces, log_deltas: list[float]) -> float:
             + log_delta
             + 6.0 * math.log(tau.imag)
         )
-    return (nonarch_sum - arch_sum) / (12.0 * places.degree)
+    height = (nonarch_sum - arch_sum) / (12.0 * places.degree)
+    if not math.isfinite(height):
+        raise FloatRangeError(
+            "the sum over the archimedean embeddings exceeds the binary64 range")
+    return height
 
 
 def height_identity_rhs(

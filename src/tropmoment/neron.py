@@ -14,11 +14,13 @@ classical tables (the constant shift l/12 is built into B2's constant
 term).
 
 lambda depends only on the curve and the point, not on the period basis
-(Silverman, GTM 151, ch. VI), so ``tate_local_height`` first reduces
+(Silverman, GTM 151, ch. VI), so both public functions first reduce
 tau = log q / (2 pi i) into the SL2(Z) fundamental domain and the point
 u = log z / (2 pi i) into half a period parallelogram.  Then
-|q| <= e^(-pi sqrt 3) and |q|^(1/2) <= |z| <= 1, and about 7 factor pairs
-reach 1e-15 for any input.  ``tate_theta_log_abs`` sums the raw product.
+|q| < 4.4e-3 and |q|^(1/2) <= |z| <= 1, and at most 6 factor pairs
+reach 1e-15 for any input.  ``tate_theta_log_abs`` is
+(l/2) B2(t) - lambda at the given q and z, with lambda from the reduced
+pair; the raw product is never summed.
 
 Valuation model: only the tropicalization nu = -log|z| matters, and the
 height of the canonical-metric section restricted to the skeleton circle
@@ -40,7 +42,14 @@ import math
 import sys
 from fractions import Fraction
 
-from .heights import _BLOCK, _TAIL_TARGET, DEFAULT_TERMS, SeriesValue, _term_count
+from .heights import (
+    _TWO_PI,
+    DEFAULT_TERMS,
+    SeriesValue,
+    _check_terms,
+    _q_product,
+    _reduce_period,
+)
 from .lattice import _as_complex, _as_fraction, _as_int
 
 __all__ = [
@@ -55,10 +64,6 @@ __all__ = [
 ]
 
 _DIVISOR_TOL = 1e-9
-_TWO_PI = 2.0 * math.pi
-# -log of the least normal binary64 number: past it q is not a normal number,
-# and every factor of theta with n >= 1 differs from 1 by less than |q|^(1/2)
-_LOG_FLOAT_MIN = -math.log(sys.float_info.min)
 
 
 class AtDivisorError(ValueError):
@@ -120,72 +125,20 @@ def _check_off_divisor(q: complex, z) -> tuple[complex, float, float]:
     return z, log_abs_q, log_abs_z
 
 
-def _check_terms(n_terms) -> int:
-    n_terms = _as_int(n_terms, "n_terms", ValueError)
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
-    return n_terms
-
-
 def tate_theta_log_abs(
     q: complex, z: complex, n_terms: int = DEFAULT_TERMS
 ) -> SeriesValue:
-    """log|theta(z)| for theta(z) = (1-z) prod (1 - q^n z)(1 - q^n / z).
-
-    The term count is chosen first: the first n whose tail bound falls
-    below 1e-15, or n_terms, found from logs and settled with the bound's
-    own expression, so the reported bound is that of the term-by-term sum.
-    A count past SERIES_TERM_BUDGET raises SeriesBudgetError.  The leading
-    factors with |q^n| max(|z|, 1/|z|) > 2 each take their own log; the
-    rest are multiplied in blocks of 16 pairs, with one log per block.  A z
-    so far from the unit circle that no factor up to n_terms gives a bound
-    raises OutOfRangeError.  In log form the product satisfies
-    log|theta(qz)| = log|theta(z)| - log|z|.
+    """log|theta(z)| for theta(z) = (1-z) prod (1 - q^n z)(1 - q^n / z), as
+    (l/2) B2(log|z|/log|q|) - lambda(z) with lambda from the reduced pair
+    of ``tate_local_height``, alongside the tail bound of that pair's
+    product.  In log form it satisfies log|theta(qz)| = log|theta(z)| -
+    log|z|.
     """
     q = _check_modulus(q)
-    z, log_q, _ = _check_off_divisor(q, z)
-    return _theta_log_abs(q, z, log_q, _check_terms(n_terms))
-
-
-def _theta_log_abs(q: complex, z: complex, log_q: float, n_terms: int) -> SeriesValue:
-    """The series of ``tate_theta_log_abs`` for checked q, z and n_terms,
-    with log_q = log|q|."""
-    abs_q = abs(q)
-    big = max(abs(z), 1.0 / abs(z))
-    z_inv = 1.0 / z
-    spread = abs(z) + abs(z_inv)
-    gap = 1.0 - abs_q
-
-    def tail(n: int) -> float:
-        power = abs_q ** (n + 1)
-        head = power * big
-        return (power * spread) / (gap * (1.0 - head)) if head < 1.0 else math.inf
-
-    estimate = (
-        math.log(_TAIL_TARGET) + math.log(gap) - math.log(spread)
-    ) / log_q - 1.0
-    stop, bound = _term_count(n_terms, estimate, tail)
-    far = min(stop, max(0, math.ceil(math.log(big / 2.0) / -log_q) - 1))
-    total = math.log(abs(1.0 - z))
-    q_pow = complex(1.0)
-    for _ in range(far):  # |q^n z| or |q^n / z| past 2: one log per factor
-        q_pow *= q
-        total += math.log(abs(1.0 - q_pow * z))
-        total += math.log(abs(1.0 - q_pow * z_inv))
-    prod = complex(1.0)
-    for n in range(far + 1, stop + 1):
-        q_pow *= q
-        prod *= (1.0 - q_pow * z) * (1.0 - q_pow * z_inv)
-        if not n % _BLOCK:  # one log per block
-            total += math.log(abs(prod))
-            prod = complex(1.0)
-    total += math.log(abs(prod))
-    if bound == math.inf or not math.isfinite(total):
-        raise OutOfRangeError(
-            f"no tail bound within {n_terms} terms: |z| = {abs(z)!r} is too "
-            f"far from the unit circle for |q| = {abs_q!r}"
-        )
-    return SeriesValue(total, bound)
+    z, log_abs_q, log_abs_z = _check_off_divisor(q, z)
+    lam = _local_height(q, z, log_abs_q, log_abs_z, _check_terms(n_terms))
+    b2_term = (-log_abs_q / 2.0) * b2(log_abs_z / log_abs_q)
+    return SeriesValue(b2_term - lam.value, lam.tail_bound)
 
 
 def tate_local_height(q: complex, z: complex, n_terms: int = DEFAULT_TERMS) -> float:
@@ -194,37 +147,34 @@ def tate_local_height(q: complex, z: complex, n_terms: int = DEFAULT_TERMS) -> f
     Invariant under z -> qz: the B2 step (l/2)(B2(t+1) - B2(t)) = -log|z|
     cancels the quasi-periodicity of theta exactly.  It is also invariant
     under a change of period basis, so q and z are first replaced by a
-    pair with |q| <= e^(-pi sqrt 3) and |q|^(1/2) <= |z| <= 1 (T and S on
-    tau, u -> u / (c tau + d), then z -> qz and z -> 1/z), whose product
-    reaches 1e-15 within about 7 factor pairs; n_terms caps that count.
-    Every q and z that the checks accept gives a finite value.
+    pair with |q| < 4.4e-3 and |q|^(1/2) <= |z| <= 1 (T and S on tau,
+    u -> u / (c tau + d), then z -> qz and z -> 1/z), whose product
+    reaches 1e-15 within 6 factor pairs; n_terms caps that count.  Every
+    q and z that the checks accept gives a finite value.
     """
     q = _check_modulus(q)
     z, log_abs_q, log_abs_z = _check_off_divisor(q, z)
-    n_terms = _check_terms(n_terms)
+    return _local_height(q, z, log_abs_q, log_abs_z, _check_terms(n_terms)).value
+
+
+def _local_height(q: complex, z: complex, log_abs_q: float, log_abs_z: float,
+                  n_terms: int) -> SeriesValue:
+    """lambda(z) for checked q, z and n_terms, from the reduced pair, with
+    the tail bound of that pair's product."""
     if q.imag < 0 or (q.imag == 0 and z.imag < 0):  # one of each conjugate pair
         q, z = q.conjugate(), z.conjugate()
     # tau = log q / (2 pi i), u = log z / (2 pi i); abs() reads Im q = -0.0 as 0
     tau = complex(math.atan2(abs(q.imag), q.real), -log_abs_q) / _TWO_PI
     u = complex(math.atan2(z.imag, z.real), -log_abs_z) / _TWO_PI
-    # T and S until |Re tau| <= 1/2 and |tau|^2 >= 0.999 (so Im tau > 0.865);
-    # S is (0 -1; 1 0), so it maps u to u / tau
-    while True:
-        tau -= round(tau.real)
-        if tau.real * tau.real + tau.imag * tau.imag >= 0.999:
-            break
-        u /= tau
-        tau = -1.0 / tau
+    tau, u, _ = _reduce_period(tau, u)
     u -= math.floor(u.imag / tau.imag) * tau  # 0 <= Im u < Im tau
     if 2.0 * u.imag > tau.imag:
         u = tau - u
-    ell = _TWO_PI * tau.imag
     z = cmath.exp(_TWO_PI * 1j * u)  # 0 once |z| underflows
-    if ell > _LOG_FLOAT_MIN:  # theta(z) = 1 - z to within |q|^(1/2) < e^-354
-        log_theta = math.log(abs(1.0 - z))
-    else:
-        log_theta = _theta_log_abs(cmath.exp(_TWO_PI * 1j * tau), z, -ell, n_terms).value
-    return (ell / 2.0) * b2(u.imag / tau.imag) - log_theta
+    series = _q_product(tau, z, n_terms)
+    log_theta = math.log(abs(1.0 - z)) + series.value
+    return SeriesValue(
+        (_TWO_PI * tau.imag / 2.0) * b2(u.imag / tau.imag) - log_theta, series.tail_bound)
 
 
 def tate_local_height_tropical(ell, nu) -> Fraction:

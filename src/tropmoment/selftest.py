@@ -9,6 +9,7 @@ replays the same suite.
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from dataclasses import dataclass
@@ -20,7 +21,6 @@ from .heights import (
     NonArchPlace,
     arch_local_invariant,
     height_identity_report,
-    log_abs_delta,
 )
 from .lattice import GramLattice, closest_vector, norm_sq, validate
 from .metricgraph import (
@@ -180,12 +180,39 @@ def _check_tate_arch(rng, count) -> CheckResult:
             return CheckResult("tate-lambda-periodicity", False, f"q={q} z={z}")
         # the reduced pair against the raw product at q and z
         log_q = math.log(abs(q))
-        if abs(lam - ((-log_q / 2) * b2(math.log(abs(z)) / log_q) - theta_z)) > 1e-10:
-            return CheckResult("tate-lambda-reduction", False, f"q={q} z={z}")
+        raw = (-log_q / 2) * b2(math.log(abs(z)) / log_q) - _raw_theta_log_abs(q, z, 256)
+        if abs(lam - raw) > 1e-10:
+            return CheckResult("tate-lambda-raw-product", False, f"q={q} z={z}")
+        # the same curve and point in another period basis
+        tau, u = cmath.log(q) / (2j * math.pi), cmath.log(z) / (2j * math.pi)
+        a, b, c, d = _random_sl2z(rng)
+        j = c * tau + d
+        moved = tate_local_height(cmath.exp(2j * math.pi * (a * tau + b) / j),
+                                  cmath.exp(2j * math.pi * u / j), 256)
+        if abs(moved - lam) > 1e-10 * max(1.0, abs(lam)):
+            return CheckResult("tate-lambda-sl2z", False, f"q={q} z={z} g={(a, b, c, d)}")
         t = rng.uniform(-3, 3)
         if abs(float(b2(t + 1) - b2(t)) - 2 * t) > 1e-12:
             return CheckResult("b2-step-identity", False, f"t={t}")
     return CheckResult("tate-lambda-periodicity", True, f"{count} seeded (q, z) pairs")
+
+
+def _raw_theta_log_abs(q: complex, z: complex, n_terms: int) -> float:
+    """log|theta(z)| term by term at the unreduced q and z, one log per
+    factor: for |q| <= 0.7 and |z| near 1, 256 terms leave less than 1e-38."""
+    total = math.log(abs(1.0 - z))
+    q_n = complex(1.0)
+    for _ in range(n_terms):
+        q_n *= q
+        total += math.log(abs(1.0 - q_n * z)) + math.log(abs(1.0 - q_n / z))
+    return total
+
+
+def _random_sl2z(rng) -> tuple[int, int, int, int]:
+    while True:
+        a, b, c, d = (rng.randint(-5, 5) for _ in range(4))
+        if a * d - b * c == 1:
+            return a, b, c, d
 
 
 def _random_modulus(rng) -> complex:
@@ -214,12 +241,14 @@ def _check_heights(rng, count) -> CheckResult:
         if abs(report.residual) > 1e-10:
             return CheckResult("height-identity", False, f"residual={report.residual}")
         for tau_v in arch:
-            if not arch_local_invariant(tau_v) > 0:
+            inv = arch_local_invariant(tau_v)
+            if not inv > 0:
                 return CheckResult("arch-invariant-positive", False, f"tau={tau_v}")
-            series = log_abs_delta(tau_v, 50)
-            doubled = log_abs_delta(tau_v, 100)
-            if abs(series.value - doubled.value) > max(series.tail_bound, 1e-12):
-                return CheckResult("delta-self-convergence", False, f"tau={tau_v}")
+            # |delta| (Im tau)^6 is invariant under SL2(Z)
+            a, b, c, d = _random_sl2z(rng)
+            moved = arch_local_invariant((a * tau_v + b) / (c * tau_v + d))
+            if abs(moved - inv) > 1e-10 * inv:
+                return CheckResult("arch-invariant-sl2z", False, f"tau={tau_v} g={(a, b, c, d)}")
     return CheckResult("height-identity", True, f"{count} seeded place systems")
 
 

@@ -428,8 +428,9 @@ def oracle_tau(graph, q=0):
 def oracle_tate_theta_log_abs(q, z, n_terms):
     """(log|theta(z)|, tail bound) by the term-by-term loop: q^n formed with
     ``**``, one log per factor, the logs summed by ``math.fsum``.  It stops
-    at the first n whose tail bound drops below 1e-15, and raises what
-    ``tate_theta_log_abs`` raises, validating q and z with its checks."""
+    at the first n whose tail bound drops below 1e-15.  It validates q and
+    z with the package's checks, and raises OutOfRangeError when no term up
+    to n_terms gives a tail bound."""
     q = _neron._check_modulus(q)
     z = complex(z)
     _neron._check_off_divisor(q, z)

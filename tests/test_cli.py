@@ -356,8 +356,9 @@ def test_terms_option_sets_the_series_length(tmp_path, capsys, monkeypatch):
     path = write(
         tmp_path,
         "places.json",
-        {"degree": 1, "nonarch": [], "arch": [{"tau_re": 0.0, "tau_im": 0.3}]},
+        {"degree": 1, "nonarch": [], "arch": [{"tau_re": 0.0, "tau_im": 1.0}]},
     )
+    # i is already reduced, and one term of its product is off by about 8e-5
     _, trimmed = run_cli(capsys, "elliptic-height", "--input", path, "--terms", "1")
     _, precise = run_cli(capsys, "elliptic-height", "--input", path, "--terms", "64")
     assert json.loads(trimmed)["lhs"] != json.loads(precise)["lhs"]
@@ -451,11 +452,15 @@ def test_argument_error_honours_csv_format_and_help_still_exits_0(tmp_path, caps
 
 
 @pytest.mark.parametrize("places, path", [
-    ({**F_PLACES, "arch": [{"tau_re": 0.1, "tau_im": 1e300}]}, "arch[0].tau_im"),
-    ({**F_PLACES, "arch": [{"tau_re": 0.1, "tau_im": 1e-300}]}, "arch[0].tau_im"),
+    # -2 pi tau_im overflows; the S-image of a subnormal tau_im does
+    ({**F_PLACES, "arch": [{"tau_re": 0.1, "tau_im": 1e308}]}, "arch[0].tau_im"),
+    ({**F_PLACES, "arch": [{"tau_re": 0.1, "tau_im": 1e-310}]}, "arch[0].tau_im"),
     ({**F_PLACES, "nonarch": [{"ord_delta": 100, "log_nv": 1e308}]}, "nonarch[0]"),
     ({**F_PLACES, "nonarch": [{"ord_delta": 10**400, "log_nv": 1.0}]}, "nonarch[0]"),
     ({**F_PLACES, "nonarch": [{"ord_delta": 1, "log_nv": 1e308}] * 2}, "nonarch"),
+    ({**F_PLACES, "degree": 2, "arch": [{"tau_re": 0, "tau_im": 2e307}] * 2}, "arch"),
+    ({**F_PLACES, "degree": 2, "arch": [{"tau_re": 0, "tau_im": 1}, {"tau_re": 0, "tau_im": 1e308}]},
+     "arch[1].tau_im"),
 ])
 def test_extreme_finite_place_numbers_exit_2(tmp_path, capsys, places, path):
     file = write(tmp_path, "places.json", places)
@@ -464,7 +469,7 @@ def test_extreme_finite_place_numbers_exit_2(tmp_path, capsys, places, path):
 
 
 @pytest.mark.parametrize("argv, path", [
-    (NERON_ARCH[:5] + ("--z-re", "1e308", "--z-im", "1e308"), "--z-re,--z-im"),
+    (NERON_ARCH[:5] + ("--z-re", "1e300", "--z-im", "0"), "--z-re,--z-im"),  # on q^-300
     (NERON_ARCH[:5] + ("--z-re", "1.7e308", "--z-im", "1.7e308"), "--z-re,--z-im"),
     (NERON_ARCH[:5] + ("--z-re", "5e-324", "--z-im", "0"), "--z-re,--z-im"),
     (("neron", "--q-re", "1e-320") + NERON_ARCH[3:], "--q-re,--q-im"),
@@ -474,19 +479,48 @@ def test_extreme_finite_neron_numbers_exit_2(capsys, argv, path):
     assert_structured_error(*run_cli(capsys, *argv), "DomainError", "neron", path)
 
 
-@pytest.mark.filterwarnings("ignore:Im tau < 0.1")
+def test_extreme_finite_z_off_the_divisor_evaluates(capsys):
+    # |z| = 1.4e308: the raw product has no tail bound within 64 terms
+    code, out = run_cli(capsys, *NERON_ARCH[:5], "--z-re", "1e308", "--z-im", "1e308")
+    assert code == 0
+    payload = json.loads(out)
+    assert all(math.isfinite(payload[k]) for k in ("value", "log_abs_theta", "theta_tail_bound"))
+
+
 def test_series_past_the_term_budget_exit_2(tmp_path, capsys):
-    # both need about 1e10 terms; each is refused before any factor
+    # the raw series would need about 1e10 terms; both reduce first, and
+    # every float they print is finite
     argv = ("neron", "--q-re", "0.99999999", "--q-im", "0", "--z-re", "-1",
             "--z-im", "0", "--terms", "1000000000")
-    assert_structured_error(*run_cli(capsys, *argv), "DomainError", "neron",
-                            "--q-re,--q-im")
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert all(math.isfinite(payload[k]) for k in ("value", "log_abs_theta", "theta_tail_bound"))
     places = {"degree": 2, "nonarch": [],
               "arch": [{"tau_re": 0, "tau_im": 1}, {"tau_re": 0, "tau_im": 1e-9}]}
     file = write(tmp_path, "places.json", places)
     code, out = run_cli(capsys, "elliptic-height", "--input", file,
                         "--terms", "1000000000")
-    assert_structured_error(code, out, "DomainError", "heights", "arch[1].tau_im")
+    assert code == 0
+    report = json.loads(out)
+    floats = [report["lhs"], report["rhs"], report["residual"]]
+    assert all(math.isfinite(x) for x in floats + [t["invariant"] for t in report["terms"]["arch"]])
+
+
+def test_neron_reads_one_pair_near_the_unit_circle(capsys):
+    # value, log_abs_theta and theta_tail_bound all come from the reduced
+    # pair, and lambda(-1) = -pi^2 / (6 l) + O(l) as l -> 0
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "neron", "--q-re", "0.99999999", "--q-im", "0",
+                        "--z-re", "-1", "--z-im", "0", "--terms", "1000000000")
+    assert time.perf_counter() - start < 0.1
+    assert code == 0
+    payload = json.loads(out)
+    ell = -math.log(0.99999999)
+    value = payload["value"]
+    assert abs(value - (ell / 12 - payload["log_abs_theta"])) <= 1e-12 * abs(value)
+    assert abs(value + math.pi**2 / (6 * ell)) <= 1e-6 * abs(value)
+    assert payload["theta_tail_bound"] < 1e-15
 
 
 @pytest.mark.parametrize("field, text, path", [

@@ -13,12 +13,10 @@ from tropmoment import heights
 from tropmoment.heights import (
     KAPPA0,
     EllipticPlaces,
-    SERIES_TERM_BUDGET,
     FloatRangeError,
     NegativeOrderError,
     NonArchPlace,
     NonPositiveImaginaryPartError,
-    SeriesBudgetError,
     arch_local_invariant,
     faltings_height_elliptic,
     function_field_height,
@@ -38,22 +36,9 @@ def _oracle_log_abs_delta(tau: complex, n_terms: int) -> float:
     return math.fsum(reversed(terms)) + math.log(abs(q))
 
 
-def _oracle_delta_tail(tau: complex, n_terms: int) -> float:
-    """The bound 48 |q|^(n+1) / (1-|q|)^2 at which the term-by-term loop
-    stops: at the first n where it drops below 1e-15, or at n_terms.  |q|
-    is the package's, so that the bound compares bit for bit."""
-    abs_q = abs(heights._q_in_range(complex(tau)))
-    for n in range(1, n_terms + 1):
-        tail = 48.0 * abs_q ** (n + 1) / (1.0 - abs_q) ** 2
-        if tail < 1e-15:
-            break
-    return tail
-
-
-@pytest.mark.filterwarnings("ignore:Im tau < 0.1")
 def test_log_abs_delta_matches_term_by_term_oracle_seeded():
-    # the oracle forms q from tau as given, the package after reducing
-    # Re tau mod 1; a reduced tau keeps their q within an ulp or two
+    # the oracle sums the raw product at tau as given, converged; the
+    # package reduces tau first and sums at most 6 terms
     rng = random.Random(19)
     for _ in range(600):
         # |q| in [0.03, 0.9], or Im tau up to 10
@@ -64,22 +49,24 @@ def test_log_abs_delta_matches_term_by_term_oracle_seeded():
         tau = complex(rng.uniform(-0.5, 0.5), im)
         n_terms = rng.choice([1, 2, 16, 64, 256, 2000])
         got = log_abs_delta(tau, n_terms)
-        assert got.tail_bound == _oracle_delta_tail(tau, n_terms)
-        expected = _oracle_log_abs_delta(tau, n_terms)
-        assert abs(got.value - expected) <= 1e-13 * max(1.0, abs(expected))
+        expected = _oracle_log_abs_delta(tau, 2000)
+        tolerance = 1e-13 * max(1.0, abs(expected))
+        if n_terms < 8:  # cut before the reduced series converges: the bound covers it
+            tolerance += got.tail_bound
+        assert abs(got.value - expected) <= tolerance
 
 
-@pytest.mark.filterwarnings("ignore:Im tau < 0.1")
 def test_log_abs_delta_series_budget():
-    # Im tau = 1e-9 needs about 1e10 terms: refused before any factor
-    with pytest.raises(SeriesBudgetError):
-        log_abs_delta(1e-9j, 10**9)
+    # Im tau = 1e-9 is reduced to 1e9 i first: no term count is large
+    # enough to matter, and the value is the closed form
+    expected = -2 * math.pi / 1e-9 - 12 * math.log(1e-9)
+    got = log_abs_delta(1e-9j, 10**9)
+    assert got == log_abs_delta(1e-9j, 10**6) == log_abs_delta(1e-9j)
+    assert abs(got.value - expected) <= 1e-13 * abs(expected)
     places = EllipticPlaces(degree=2, nonarch=(), arch=(1j, 1e-9j))
-    with pytest.raises(SeriesBudgetError) as caught:
-        height_identity_report(places, 10**9)
-    assert caught.value.index == 1
-    # within the budget the same period still evaluates
-    assert log_abs_delta(1e-9j, SERIES_TERM_BUDGET).tail_bound > 1.0
+    report = height_identity_report(places, 10**9)
+    assert report.terms["arch"][1]["invariant"] == arch_local_invariant(1e-9j)
+    assert math.isfinite(report.lhs) and abs(report.residual) <= 1e-13 * abs(report.lhs)
 
 
 def test_log_abs_delta_self_convergence_at_i():
@@ -116,8 +103,13 @@ def test_log_abs_delta_rejects_lower_half_plane():
 
 
 def test_log_abs_delta_warns_for_tiny_imaginary_part():
-    with pytest.warns(UserWarning):
-        log_abs_delta(0.05j, 400)
+    # Im tau = 0.05 is reduced, not warned about, and matches the raw
+    # product summed to convergence
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = log_abs_delta(0.05j, 400).value
+    expected = _oracle_log_abs_delta(0.05j, 2000)
+    assert abs(got - expected) <= 1e-13 * abs(expected)
 
 
 def test_small_imaginary_part_warns_once_per_input():
@@ -125,12 +117,27 @@ def test_small_imaginary_part_warns_once_per_input():
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             call()
-        return sum("Im tau < 0.1" in str(w.message) for w in caught)
+        return len(caught)
 
     assert count_warnings(lambda: height_identity_report(
-        EllipticPlaces(degree=1, nonarch=(), arch=(0.05j,)))) == 1
-    assert count_warnings(lambda: log_abs_delta(0.05j)) == 1
-    assert count_warnings(lambda: arch_local_invariant(0.05j)) == 1
+        EllipticPlaces(degree=1, nonarch=(), arch=(0.05j,)))) == 0
+    assert count_warnings(lambda: log_abs_delta(0.05j)) == 0
+    assert count_warnings(lambda: arch_local_invariant(0.05j)) == 0
+
+
+def test_log_abs_delta_closed_form_near_the_cusp():
+    # log|delta(iy)| = log|delta(i/y)| - 12 log y, and at i/y the
+    # q-product is 1 to within exp(-2 pi / y)
+    for y in (1e-3, 1e-9, 1e-300):
+        expected = -2 * math.pi / y - 12 * math.log(y)
+        assert abs(log_abs_delta(complex(0, y)).value - expected) <= 1e-13 * abs(expected)
+
+
+def test_log_abs_delta_at_an_underflowed_q():
+    # |q| = exp(-400 pi) is below the binary64 range: log|delta| = log|q|
+    got = log_abs_delta(200j)
+    assert got.value == -400 * math.pi
+    assert got.tail_bound <= 24 * math.exp(-200 * math.pi)
 
 
 def test_arch_invariant_positive_at_standard_points():
@@ -381,13 +388,29 @@ def test_height_identity_monotone_in_bad_places():
     assert abs(rep1.residual) < 1e-10
 
 
-@pytest.mark.filterwarnings("ignore:Im tau < 0.1")
 def test_periods_and_places_outside_the_float_range_are_rejected():
-    # |q| = exp(-2 pi Im tau) underflows to 0, or rounds to 1
-    for tau in (1e300j, 200j, 1e-300j, 0.5 + 1e-20j):
-        with pytest.raises(FloatRangeError):
+    # refused only where log|delta| itself leaves binary64: -2 pi Im tau
+    # overflows, or the S-image of a subnormal Im tau does
+    for tau in (1e308j, 1e-310j, 0.25 + 1e-310j):
+        with pytest.raises(FloatRangeError, match="exceeds the binary64 range"):
             log_abs_delta(tau)
+    # the periods whose q underflows or rounds to 1 evaluate
+    for tau, expected in ((1e300j, -2e300 * math.pi), (200j, -400 * math.pi),
+                          (1e-300j, -2e300 * math.pi + 12 * 300 * math.log(10)),
+                          # S, T by -2, S: log|delta(i / 4e-20)| - 12 log|(1/2) 4e-20|
+                          (0.5 + 1e-20j, -math.pi / 2e-20 - 12 * math.log(2e-20))):
+        got = log_abs_delta(tau).value
+        assert math.isfinite(got) and abs(got - expected) <= 1e-13 * abs(expected)
     assert math.isfinite(log_abs_delta(112j).value)
+    # a report names the embedding whose period overflows, and a sum over
+    # the embeddings that overflows has no index
+    with pytest.raises(FloatRangeError) as caught:
+        height_identity_report(EllipticPlaces(degree=2, nonarch=(), arch=(1j, 1e308j)))
+    assert caught.value.index == 1
+    for call in (height_identity_report, faltings_height_elliptic):
+        with pytest.raises(FloatRangeError, match="archimedean embeddings") as caught:
+            call(EllipticPlaces(degree=2, nonarch=(), arch=(2e307j, 2e307j)))
+        assert caught.value.index is None
     with pytest.raises(FloatRangeError):
         NonArchPlace(ord_delta=100, log_nv=1e308)
     with pytest.raises(FloatRangeError):

@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import oracle_tate_theta_log_abs
-from tropmoment.heights import SERIES_TERM_BUDGET, SeriesBudgetError
-from tropmoment import neron
+from tropmoment import heights, neron
 from tropmoment.lattice import validate
 from tropmoment.neron import (
     AtDivisorError,
@@ -83,13 +82,14 @@ def test_theta_outside_the_float_range_is_rejected():
     for z in (5e-324, 1.7e308 + 1.7e308j):  # 1/|z| or |z| overflows
         with pytest.raises(OutOfRangeError):
             tate_theta_log_abs(0.1, z)
-    # no factor within the terms gives a tail bound
-    with pytest.raises(OutOfRangeError, match="no tail bound"):
-        tate_theta_log_abs(0.1, 1e308 + 1e308j)
-    with pytest.raises(OutOfRangeError, match="no tail bound"):
-        tate_theta_log_abs(0.5, 5.0, 1)  # |q|^2 |z| >= 1
+    # every z that the checks accept evaluates, also where the raw product
+    # has no tail bound within the terms asked for
+    for q, z, n_terms in ((0.1, 1e308 + 1e308j, 64), (0.5, 5.0, 1)):
+        got = tate_theta_log_abs(q, z, n_terms)
+        expected, _ = oracle_tate_theta_log_abs(q, z, 5000)
+        assert abs(got.value - expected) <= got.tail_bound + 1e-13 * abs(expected)
     # a lift far from the unit circle is still placed against the divisor,
-    # and still evaluates once the terms reach it
+    # and off it evaluates
     with pytest.raises(AtDivisorError, match="q\\^-300"):
         tate_theta_log_abs(0.1, 1e300 * (1 + 1e-12), 400)
     assert math.isfinite(tate_theta_log_abs(0.1, 3e300, 400).tail_bound)
@@ -118,9 +118,9 @@ def test_theta_term_counts_must_be_ints():
 
 
 def test_theta_matches_term_by_term_oracle_seeded():
-    # |z| from the unit circle out to e^+-600, where the leading factors
-    # take their own logs; the term counts cover one, part of and many
-    # blocks, and counts too small for any tail bound
+    # |z| from the unit circle out to e^+-600, and term counts from one
+    # to many; the oracle sums the raw product to convergence, and the
+    # package derives log|theta| from the reduced pair
     rng = random.Random(19)
     for _ in range(1000):
         q = rng.uniform(0.03, 0.9) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
@@ -131,26 +131,29 @@ def test_theta_matches_term_by_term_oracle_seeded():
         z = math.exp(log_r) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
         n_terms = rng.choice([1, 2, 16, 64, 256, 2000])
         try:
-            expected = oracle_tate_theta_log_abs(q, z, n_terms)
+            expected, _ = oracle_tate_theta_log_abs(q, z, 5000)
         except ValueError as exc:
             with pytest.raises(type(exc)):
                 tate_theta_log_abs(q, z, n_terms)
             continue
         got = tate_theta_log_abs(q, z, n_terms)
-        assert got.tail_bound == expected[1]
-        assert abs(got.value - expected[0]) <= 1e-13 * max(1.0, abs(expected[0]))
+        tolerance = 1e-13 * max(1.0, abs(expected))
+        if n_terms < 8:  # cut before the reduced series converges: the bound covers it
+            tolerance += got.tail_bound
+        assert abs(got.value - expected) <= tolerance
 
 
 def test_theta_series_budget():
-    # |q| this close to 1 needs about 4e9 terms; the count is known before
-    # any factor is formed, so the refusal is immediate
-    with pytest.raises(SeriesBudgetError):
-        tate_theta_log_abs(0.99999999, -1.0, 10**9)
-    # the same modulus within n_terms <= the budget is evaluated as before
-    series = tate_theta_log_abs(0.99999999, -1.0, 1000)
-    assert series.tail_bound > 1.0
-    # a count of exactly the budget is allowed
-    assert tate_theta_log_abs(0.99999999, -1.0, SERIES_TERM_BUDGET).tail_bound > 1e-15
+    # |q| this close to 1 would take about 4e9 raw terms; the reduced pair
+    # takes a few, whatever the count asked for
+    series = tate_theta_log_abs(0.99999999, -1.0, 10**9)
+    assert series == tate_theta_log_abs(0.99999999, -1.0, 1000)
+    assert series == tate_theta_log_abs(0.99999999, -1.0, 10**6)
+    assert series.tail_bound < 1e-15
+    # log|theta(-1)| = (l/2) B2(0) - lambda(-1), from the same pair
+    ell = -math.log(0.99999999)
+    lam = tate_local_height(0.99999999, -1.0, 10**9)
+    assert abs(series.value - (ell / 12 - lam)) <= 1e-12 * abs(series.value)
 
 
 def test_lambda_periodicity_seeded():
@@ -321,12 +324,10 @@ def test_reduced_local_height_is_finite_at_extreme_moduli():
     # after S, q and z underflow: q near 1 in any direction, and a tiny q
     for q in (0.99999999, -0.99999999, 0.9999999999j, 1e-300):
         assert math.isfinite(tate_local_height(q, 1e150))
-    # where the raw product raises, the reduced one still has a value
-    with pytest.raises(OutOfRangeError, match="no tail bound"):
-        tate_theta_log_abs(0.5, 5.0, 1)
-    assert math.isfinite(tate_local_height(0.5, 5.0, 1))
-    with pytest.raises(SeriesBudgetError):
-        tate_theta_log_abs(0.99999999, -1.0, 10**9)
+    # and so do pairs whose raw product has no bound within these counts
+    for q, z, n_terms in ((0.5, 5.0, 1), (0.99999999, -1.0, 10**9)):
+        assert math.isfinite(tate_theta_log_abs(q, z, n_terms).value)
+        assert math.isfinite(tate_local_height(q, z, n_terms))
     # lambda(-1) = pi^2 / (6 l) + O(l) as l -> 0
     ell = -math.log(0.99999999)
     expected = -math.pi**2 / (6 * ell)
@@ -334,18 +335,29 @@ def test_reduced_local_height_is_finite_at_extreme_moduli():
 
 
 def test_reduced_series_takes_at_most_eight_pairs(monkeypatch):
-    counts = []
-    term_count = neron._term_count
+    # the fewest terms that give the same sum and bound as the call itself
+    counts = {"delta": [], "tate": []}
+    q_product = heights._q_product
 
-    def counted(n_terms, estimate, tail):
-        n, bound = term_count(n_terms, estimate, tail)
-        counts.append(n)
-        return n, bound
+    def counted(tau, z, n_terms):
+        series = q_product(tau, z, n_terms)
+        n = 1
+        while q_product(tau, z, n) != series:
+            n += 1
+        counts["delta" if z == 1.0 else "tate"].append(n)
+        return series
 
-    monkeypatch.setattr(neron, "_term_count", counted)
+    monkeypatch.setattr(heights, "_q_product", counted)
+    monkeypatch.setattr(neron, "_q_product", counted)
     rng = random.Random(27)
     for _ in range(500):
-        q = rng.uniform(1e-3, 0.999) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        n_terms = rng.choice([8, 64, 10**9])
+        gap = 10 ** rng.uniform(-8, math.log10(0.999))  # 1 - |q| from 1e-8 to 0.999
+        q = (1 - gap) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
         z = math.exp(rng.uniform(-300, 300)) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-        tate_local_height(q, z, rng.choice([8, 64, 10**9]))
-    assert counts and max(counts) <= 8
+        tate_local_height(q, z, n_terms)
+        tate_theta_log_abs(q, z, n_terms)
+        tau = complex(rng.uniform(-2, 2), 10 ** rng.uniform(-3, math.log10(200)))
+        heights.log_abs_delta(tau, n_terms)
+    assert len(counts["tate"]) == 1000 and len(counts["delta"]) == 500
+    assert max(counts["tate"] + counts["delta"]) <= 8
