@@ -123,7 +123,7 @@ def _cmd_moment(args) -> dict:
     out = {
         "I": second_moment(lat),
         "facets": len(cell.halfspaces),
-        "vertices": len(cell.vertices),
+        "vertices": cell.vertex_count,
         "volume_coord": volume(cell),
     }
     if args.grid is not None:

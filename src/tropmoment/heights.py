@@ -185,6 +185,8 @@ def _check_tau(tau: complex) -> complex:
         raise NonPositiveImaginaryPartError(
             f"period must lie in the upper half plane, got {tau!r}"
         )
+    if math.isnan(tau.real):  # an infinite one overflows in _reduce_period
+        raise FloatRangeError(f"period {tau!r} has a NaN real part")
     return tau
 
 

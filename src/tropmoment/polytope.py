@@ -23,59 +23,52 @@ pairs, so the polytope before each step is symmetric: the vertices cut on
 their mask (each facet bit sent to that of its negation).  A vertex is kept
 when its slacks s on u and 2 b_k w - s on -u are both >= 0, so the edges
 are searched once per pair, and each vertex is handed on with its mask.
-Only the ``HalfSpace`` fields and ``Polytope.vertices`` are in Q.  The sweep
-may hold at most VERTEX_BUDGET vertices at once; a rank whose 2^g start
-corners already exceed it is refused before the relevant vectors are
-searched.
+Only the ``HalfSpace`` fields and ``Polytope.vertices``, formed from the
+integer rows when first read, are in Q.  The sweep may hold at most
+VERTEX_BUDGET vertices at once; a rank whose 2^g start corners already
+exceed it is refused before the relevant vectors are searched.
 
 Volumes and moments are computed in coordinate Lebesgue measure over a
 star triangulation: origin cone over facet triangulations, each face
-starred recursively from its lowest-indexed vertex (the lexicographically
-least, as voronoi_cell sorts them).  Faces are vertex bitmasks, found from
-the vertex-facet incidences alone: the facets of a face F are the
-inclusion-maximal proper, nonempty intersections of F with the facets of
-the cell (Ziegler, Lectures on Polytopes, 2.1), and a d-face with d + 1
-vertices is a simplex.  Volumes and moments triangulate one facet per orbit
-of W, the group generated by -1 and the reflections of the lattice
-(``_facet_orbits``, on the integer rows).  Each element of W is an integer
-isometry that permutes the facets, so the cones over the facets of one orbit
-have equal volume and, x^T G x being invariant, equal moment: the sums over
-the cell are those over the one facet times the orbit's size.  When no
-reflection joins two pairs +-u, W acts as {+-1}: ``_mirrors`` pairs
-a_k . x <= b_k with -a_k . x <= b_k on the integer rows, and the later
-facet of each pair is triangulated with weight 2 (the half star, whose
-negation triangulates the rest).  ``star_triangulation`` returns the half
-star of every cell, and a public ``Polytope``, which knows no lattice,
-integrates it.  The metric Jacobian sqrt(det G) cancels in the normalized
-moment, so it never appears.  The per-simplex closed form
+starred recursively from its lowest-indexed vertex (``_cones_over``).  Faces
+are vertex bitmasks, found from the vertex-facet incidences alone: the
+facets of a face F are the inclusion-maximal proper, nonempty intersections
+of F with the facets (Ziegler, Lectures on Polytopes, 2.1), and a d-face
+with d + 1 vertices is a simplex.  One facet is triangulated per orbit of
+W, the group generated by -1 and the reflections of the lattice
+(``_facet_orbits``): its elements are integer isometries that permute the
+facets, so the cones over one orbit have equal volume and, x^T G x being
+invariant, equal moment.  When W merges pairs +-u, each facet taken has its
+own double description in g - 1 dimensions (``_facet_cones``), and the
+cell has sum |orbit| x sum_{v in F} 1/deg(v) vertices, deg(v) facets on
+each, never listed.  The facet of u is symmetric about u / 2 (x -> u - x
+swaps 0 and u; Minkowski 1897), so its constraints are kept per primitive
+direction at the least offset, in pairs +-p at the larger of the two,
+which the facet also satisfies; an unpaired one supports no ridge.
+Otherwise the later facet of each pair +-u (``_mirrors``) of the whole
+cell is triangulated with weight 2 (the half star, whose negation is the
+rest), as ``star_triangulation`` gives for every cell and a public
+``Polytope``, which knows no lattice, integrates.  The metric Jacobian
+sqrt(det G) cancels in the normalized moment.  The per-simplex closed form
 
     integral over S of x^T G x  =  vol(S) / ((g+1)(g+2)) *
         ( sum_i [v_i, v_i]  +  [w, w] ),   w = sum_i v_i,
 
 follows from the barycentric moments E[t_i t_j] = (1 + delta_ij) /
-((g+1)(g+2)) on a g-simplex; the origin vertex adds nothing.  It needs the
-norms of the vertices and one Gram product per simplex, and no table of
-vertex pairs.  Each cell is held in integers from its constraints to its
-moment, and its integer sums are divided once, at the end.
+((g+1)(g+2)) on a g-simplex; the origin vertex adds nothing.
 
-Each fact about a cell is derived once, in integers: double description
-returns the vertex rows, their tight masks and ``_mirror`` (``_mirrors`` of
-the constraints 2 den G u . x <= den [u, u]), ``Polytope(halfspaces,
-vertices)`` finds the masks of a caller's vertices with one product per
-vertex and half-space, and ``Polytope._index`` turns the masks into
-``_facets`` and finds ``_negation`` (the index of -v, or None).  Each star
-reads them: it checks that every half-space supports a facet, that the
-vertices are closed under negation, that ``_mirror`` pairs every
-half-space, and that no simplex it integrates is flat.  The cell is then
-full-dimensional (0 is the midpoint of v and -v) and every pair adds a
-positive volume, so nothing else checks either.
-
-Each lattice keeps the cell ``voronoi_cell`` built for it, and each cell
-keeps its facet orbits, its star over one facet per orbit, its half star
-and its second moment, so ``volume`` and ``second_moment`` of one cell
-triangulate it once, ``star_triangulation`` once more unless W acts as
-{+-1}, and the moment is summed once.  They live as long as the object
-that keeps them; a build that fails, say over VERTEX_BUDGET, keeps nothing.
+Each fact about a cell is derived once.  ``voronoi_cell`` forms the
+constraints 2 den G u . x <= den [u, u], ``_mirror`` and the orbits; the
+first read of ``vertices``, ``_scaled``, ``_den``, ``_facets`` or
+``_negation`` runs the whole cell's double description, which returns the
+vertex rows and tight masks.  ``_tight_masks`` finds those of a caller's
+vertices and of facet vertices, one product per vertex and constraint, and
+checks that each is in the cell and on g facets.  The half star checks
+that every half-space supports a facet, the vertices are closed under
+negation and ``_mirror`` pairs every half-space; the facet star that its
+vertex count is an integer; both that no simplex is flat.  Each lattice
+keeps its cell and each cell its V-representation, stars and moment; a
+failed build keeps no cell, a failed sweep (say over VERTEX_BUDGET) nothing.
 """
 
 from __future__ import annotations
@@ -102,8 +95,8 @@ __all__ = [
     "star_triangulation",
 ]
 
-# Most vertices double description may hold at once (D5 peaks at 54, E6 at 142, E7 at 632,
-# E8 at 19 440).
+# Most vertices double description may hold at once.  The whole cell peaks at 54 on D5,
+# 142 on E6, 632 on E7 and 19 440 on E8; the sweep of one facet at 12, 24, 48 and 702.
 VERTEX_BUDGET = 10**5
 
 
@@ -140,10 +133,9 @@ class Polytope:
     ``_scaled`` over one denominator ``_den``, each half-space's tight
     vertices as the bitmask ``_facets[k]`` (bit i for vertex i), the index
     ``_negation[i]`` of -v_i (or None), ``_mirror = _mirrors(a, b)`` and
-    ``_orbits``, the facet orbits of ``_facet_orbits`` (None: the pairs
-    +-u).  ``Polytope(halfspaces, vertices)`` checks its vertices and knows
-    no orbits; ``voronoi_cell`` hands ``_index`` the rows, masks and mirror
-    of double description, then sets the orbits."""
+    ``_orbits`` of ``_facet_orbits`` (None: the pairs +-u).  A public
+    ``Polytope`` checks its vertices and knows no orbits; a cell of
+    ``voronoi_cell`` keeps ``_constraints`` and sweeps the rest on first read."""
 
     halfspaces: tuple[HalfSpace, ...]
     vertices: tuple[tuple[Fraction, ...], ...]
@@ -158,53 +150,75 @@ class Polytope:
         flat, den = _linalg.integer_row([c for v in points for c in v])
         scaled = [tuple(flat[i:i + dim]) for i in range(0, len(flat), dim)]
         a, b = _integer_constraints(halfspaces)
-        constraints = [(row, off * den) for row, off in zip(a, b)]
-        masks = []
-        for v, x in zip(points, scaled):
-            mask = 0
-            for k, (row, off) in enumerate(constraints):
-                val = sum(map(mul, row, x))
-                if val > off:
-                    raise ValueError(f"vertex {v} violates a half-space")
-                if val == off:
-                    mask |= 1 << k
-            if mask.bit_count() < dim:
-                raise ValueError(f"vertex {v} is tight on fewer than {dim} facets")
-            masks.append(mask)
-        self._index(halfspaces, scaled, den, masks, _mirrors(a, b))
+        self.__dict__.update(halfspaces=halfspaces, _mirror=_mirrors(a, b), _orbits=None)
+        self._index(scaled, den, _tight_masks(scaled, den, a, b, ValueError))
 
-    def _index(self, halfspaces, scaled, den, masks, mirror):
-        facets = [0] * len(halfspaces)
-        for i, mask in enumerate(masks):
-            for k in _bits(mask):
-                facets[k] |= 1 << i
+    def __getattr__(self, name):
+        if name == "vertices":
+            den = self._den
+            vars(self)[name] = tuple(tuple(Fraction(c, den) for c in x) for x in self._scaled)
+        elif name in ("_scaled", "_den", "_facets", "_negation") and "_constraints" in vars(self):
+            self._index(*_vertices_dd(*self._constraints, self.dim, self._mirror))
+        else:
+            raise AttributeError(name)
+        return self.__dict__[name]
+
+    def _index(self, scaled, den, masks):
         index = {x: i for i, x in enumerate(scaled)}
         if len(index) != len(scaled):
             raise ValueError("vertex list has duplicates")
         negation = tuple(index.get(tuple(-c for c in x)) for x in scaled)
-        vertices = tuple(tuple(Fraction(c, den) for c in x) for x in scaled)
-        self.__dict__.update(
-            halfspaces=halfspaces, vertices=vertices, _scaled=tuple(scaled), _den=den,
-            _facets=tuple(facets), _negation=negation, _mirror=mirror, _orbits=None)
+        self.__dict__.update(_scaled=tuple(scaled), _den=den, _negation=negation,
+                             _facets=_incidences(masks, len(self.halfspaces)))
 
     @property
     def dim(self) -> int:
         return len(self.halfspaces[0].row)
+
+    @property
+    def vertex_count(self) -> int:
+        """``len(vertices)``, read off one facet per orbit when the orbits merge."""
+        return len(self._scaled) if self._orbits is None else self._cones[3]
 
     @cached_property
     def _star(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         return _star_facet_simplices(self)
 
     @cached_property
-    def _cones(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """One facet of each orbit, triangulated: sums over it are the cell's."""
-        return self._star if self._orbits is None else _star_facet_simplices(self, self._orbits)
+    def _cones(self):
+        """``(points, den, star, vertex count)``: the cell's sums, rows and count."""
+        if self._orbits is None:
+            return self._scaled, self._den, self._star, len(self._scaled)
+        return _facet_cones(self)
 
 
 def _integer_constraints(halfspaces) -> tuple[list[list[int]], list[int]]:
     """Each constraint scaled to integers: a positive scale keeps every sign test."""
     rows = [_linalg.integer_row(hs.row + (hs.offset,))[0] for hs in halfspaces]
     return [row[:-1] for row in rows], [row[-1] for row in rows]
+
+
+def _tight_masks(scaled, den, a, b, error) -> list[int]:
+    """The constraints a_k . x <= b_k each row x / den is tight on, as a bitmask;
+    a row outside one, or tight on fewer than g, raises ``error``."""
+    masks, offsets = [], [off * den for off in b]
+    for x in scaled:
+        slacks = [off - sum(map(mul, row, x)) for row, off in zip(a, offsets)]
+        masks.append(sum(1 << k for k, s in enumerate(slacks) if s == 0))
+        if min(slacks) < 0 or masks[-1].bit_count() < len(x):
+            raise error(f"vertex {tuple(Fraction(c, den) for c in x)} " + (
+                "violates a half-space" if min(slacks) < 0 else
+                f"is tight on fewer than {len(x)} facets"))
+    return masks
+
+
+def _incidences(masks, n) -> tuple[int, ...]:
+    """The bitmask of the vertices tight on each of n constraints."""
+    facets = [0] * n
+    for i, mask in enumerate(masks):
+        for k in _bits(mask):
+            facets[k] |= 1 << i
+    return tuple(facets)
 
 
 def _mirrors(a, b) -> list[int | None]:
@@ -214,14 +228,13 @@ def _mirrors(a, b) -> list[int | None]:
     return [index.get((tuple(-c for c in row), off)) for row, off in zip(a, b)]
 
 
-def _vertices_dd(a, b, g) -> tuple[list[tuple[int, ...]], int]:
+def _vertices_dd(a, b, g, mirror) -> tuple[list[tuple[int, ...]], int, list[int]]:
     """Double description from the parallelotope of g independent facet pairs,
     on primitive integer homogeneous vertices (x, w) with w > 0.  The facets
-    must come in pairs: a_k' = -a_k, b_k' = b_k.  Returns ``(rows, den,
-    masks, mirror)``: the sorted rows x den / w, den = lcm of the w, in the
-    order of the x / w, the facets each is tight on, and ``_mirrors(a, b)``."""
-    # mirror[k]: the facet of -u, so -v is tight on mirror(mask of v).
-    mirror = _mirrors(a, b)
+    must come in pairs: a_k' = -a_k, b_k' = b_k for k' = mirror[k], so -v is
+    tight on the mirror of the mask of v.  Returns ``(rows, den, masks)``:
+    the sorted rows x den / w, den = lcm of the w, in the order of the x / w,
+    and the facets each is tight on."""
     start: list[int] = []
     for k, row in enumerate(a):
         if mirror[k] > k and _linalg.int_rank([a[j] for j in start] + [row]) > len(start):
@@ -285,7 +298,7 @@ def _vertices_dd(a, b, g) -> tuple[list[tuple[int, ...]], int]:
     den = lcm(*{v[g] for v in verts})
     rows, masks = zip(*sorted((tuple(c * (den // v[g]) for c in v[:g]), mask)
                               for v, mask in zip(verts, masks)))
-    return list(rows), den, list(masks), mirror
+    return list(rows), den, list(masks)
 
 
 def _bits(mask: int):
@@ -298,7 +311,8 @@ def _bits(mask: int):
 def voronoi_cell(lat: GramLattice) -> Polytope:
     """H- and V-representation of the Voronoi cell centered at the origin.
 
-    Built once per lattice and kept on it; a build that fails keeps nothing."""
+    Built once per lattice and kept on it, its vertices swept on first read.
+    A failed build keeps no cell, and a failed sweep nothing."""
     cell = lat.__dict__.get("_cell")
     if cell is None:
         cell = _build_cell(lat)
@@ -319,9 +333,10 @@ def _build_cell(lat: GramLattice) -> Polytope:
         HalfSpace(normal=u, row=tuple(Fraction(c, lat._den) for c in au),
                   offset=Fraction(off, 2 * lat._den))
         for u, au, off in zip(relevant, images, b))
+    mirror = _mirrors(a, b)
     cell = Polytope.__new__(Polytope)
-    cell._index(halfspaces, *_vertices_dd(a, b, lat.rank))
-    cell.__dict__["_orbits"] = _facet_orbits(relevant, a, b, cell._mirror)
+    cell.__dict__.update(halfspaces=halfspaces, _constraints=(a, b), _mirror=mirror,
+                         _orbits=_facet_orbits(relevant, a, b, mirror))
     return cell
 
 
@@ -374,13 +389,9 @@ def _facet_orbits(normals, a, b, mirror) -> dict[int, int] | None:
     return {k: 2 * n for k, n in Counter(map(find, half)).items()}
 
 
-def _star_facet_simplices(poly: Polytope, orbits=None) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Triangulate one facet of each orbit, ``orbits`` mapping it to the
-    orbit's size: ``(s, size |det|)`` for each (g-1)-simplex, where ``s``
-    holds vertex indices and ``det`` is the determinant of their integer
-    rows, the scaled volume of the cone over ``s`` from the origin.  By
-    default each pair +-u is an orbit, and its later facet is triangulated
-    (the half star): the other is the negation of its representative."""
+def _star_facet_simplices(poly: Polytope) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The half star: the later facet of each pair +-u, triangulated with
+    weight 2 by ``_cones_over``; the negations cover the other facets."""
     g = poly.dim
     points = poly._scaled
     facets = poly._facets
@@ -394,8 +405,14 @@ def _star_facet_simplices(poly: Polytope, orbits=None) -> tuple[tuple[tuple[int,
     mirror = poly._mirror
     if any(m in (None, k) or mirror[m] != k for k, m in enumerate(mirror)):
         raise DegeneratePolytopeError("half-spaces do not pair under negation")
-    if orbits is None:
-        orbits = {k: 2 for k, m in enumerate(mirror) if m < k}
+    return _cones_over(points, facets, {k: 2 for k, m in enumerate(mirror) if m < k})
+
+
+def _cones_over(points, facets, weights) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """``(s, weight |det|)`` for each (g-1)-simplex s of each facet k of
+    ``weights`` ({k: weight}), as vertex indices; ``det`` of their rows
+    ``points`` is the scaled volume of the cone over s from the origin."""
+    g, meets = len(points[0]), [f for f in facets if f]
     cache: dict[int, list[tuple[int, ...]]] = {}
 
     def tri(face: int, d: int) -> list[tuple[int, ...]]:
@@ -408,7 +425,7 @@ def _star_facet_simplices(poly: Polytope, orbits=None) -> tuple[tuple[tuple[int,
             # nonempty F & F_k; star F from its lowest-indexed vertex.
             apex_bit = face & -face
             apex = (apex_bit.bit_length() - 1,)
-            subs = dict.fromkeys(s for s in (face & f for f in facets) if s and s != face)
+            subs = dict.fromkeys(s for s in (face & f for f in meets) if s and s != face)
             out = []
             for sub in subs:
                 if sub & apex_bit or any(sub != t and sub | t == t for t in subs):
@@ -417,11 +434,49 @@ def _star_facet_simplices(poly: Polytope, orbits=None) -> tuple[tuple[tuple[int,
         cache[face] = out
         return out
 
-    star = tuple((s, size * abs(_linalg.int_det([points[i] for i in s])))
-                 for k, size in orbits.items() for s in tri(facets[k], g - 1))
+    star = tuple((s, w * abs(_linalg.int_det([points[i] for i in s])))
+                 for k, w in weights.items() for s in tri(facets[k], g - 1))
     if any(det == 0 for _, det in star):
         raise DegeneratePolytopeError("a star simplex is flat")
     return star
+
+
+def _facet_cones(cell: Polytope):
+    """``Polytope._cones`` from one double description per orbit's facet k in
+    the coordinates z of x = u_k / 2 + N z: the columns c_p e_i - c_i e_p
+    (i != p) of N span c . x = 0, c = a_k / gcd(a_k), c_p its least nonzero."""
+    a, b = cell._constraints
+    g = cell.dim
+    pts = []
+    for k in cell._orbits:
+        u, c = cell.halfspaces[k].normal, [x // gcd(*a[k]) for x in a[k]]
+        p = min((i for i in range(g) if c[i]), key=lambda i: abs(c[i]))
+        cols = [[c[p] * (i == o) - c[o] * (i == p) for i in range(g)] for o in range(g) if o != p]
+        # a_j . x <= b_j reads (a_j N) . z <= b_j - a_j . u_k / 2
+        least: dict[tuple[int, ...], Fraction] = {}
+        for row, off in zip(a, b):
+            r = [sum(map(mul, row, col)) for col in cols]
+            if d := gcd(*r):
+                key, q = tuple(x // d for x in r), Fraction(off - sum(map(mul, row, u)) // 2, d)
+                least[key] = min(q, least.get(key, q))
+        pairs = [(key, max(q, least[neg])) for key, q in least.items()
+                 if key < (neg := tuple(-x for x in key)) and neg in least]
+        rows = [[e * x * q.denominator for x in key] for key, q in pairs for e in (1, -1)]
+        offs = [q.numerator for _, q in pairs for _ in (1, -1)]
+        zs, zden, _ = _vertices_dd(rows, offs, g - 1, [j ^ 1 for j in range(len(rows))])
+        pts += [([zden * u_i + 2 * sum(map(mul, z, n_i)) for u_i, n_i in zip(u, zip(*cols))],
+                 2 * zden) for z in zs]
+    # every x lies on its facet's hyperplane; a vertex of two facets taken is kept once
+    den = lcm(*(d for _, d in pts))
+    points = list(dict.fromkeys(tuple(den // d * c_x for c_x in x) for x, d in pts))
+    masks = _tight_masks(points, den, a, b, DegeneratePolytopeError)
+    facets = _incidences(masks, len(a))
+    count = sum(Fraction(size, masks[i].bit_count())
+                for k, size in cell._orbits.items() for i in _bits(facets[k]))
+    if count.denominator != 1:
+        raise DegeneratePolytopeError(f"the facets' vertex degrees count {count} vertices")
+    star = _cones_over(points, facets, cell._orbits)
+    return points, den, star, count.numerator
 
 
 def star_triangulation(poly: Polytope) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
@@ -437,8 +492,8 @@ def star_triangulation(poly: Polytope) -> tuple[tuple[tuple[Fraction, ...], ...]
 
 def volume(poly: Polytope) -> Fraction:
     """Coordinate-Lebesgue volume via the origin star triangulation."""
-    total_det = sum(det for _, det in poly._cones)
-    return Fraction(total_det, factorial(poly.dim) * poly._den ** poly.dim)
+    _, den, star, _ = poly._cones
+    return Fraction(sum(det for _, det in star), factorial(poly.dim) * den ** poly.dim)
 
 
 def second_moment(lat: GramLattice) -> Fraction:
@@ -453,13 +508,13 @@ def second_moment(lat: GramLattice) -> Fraction:
     if "_moment" in poly.__dict__:
         return poly._moment
     g = lat.rank
-    points = poly._scaled
+    points, den, star, _ = poly._cones
     norms = [sum(map(mul, x, _gram_image(lat, x))) for x in points]
     total_det = total_mom = 0
-    for s, det in poly._cones:
+    for s, det in star:
         w = list(map(sum, zip(*[points[i] for i in s])))
         total_det += det
         total_mom += det * (sum(norms[i] for i in s) + sum(map(mul, w, _gram_image(lat, w))))
     poly.__dict__["_moment"] = Fraction(
-        total_mom, (g + 1) * (g + 2) * poly._den ** 2 * lat._den * total_det)
+        total_mom, (g + 1) * (g + 2) * den ** 2 * lat._den * total_det)
     return poly._moment

@@ -119,13 +119,29 @@ def test_graph_circle12(tmp_path, capsys):
 
 
 def test_moment_builds_and_triangulates_its_cell_once(tmp_path, capsys, monkeypatch):
+    # the six facets of A_2 form one orbit: one sweep of one edge, in
+    # dimension 1, and no sweep or half star of the whole hexagon
     dd = count_calls(monkeypatch, polytope, "_vertices_dd")
+    cones = count_calls(monkeypatch, polytope, "_facet_cones")
     star = count_calls(monkeypatch, polytope, "_star_facet_simplices")
     path = write(tmp_path, "a2.json", F_A2)
     code, out = run_cli(capsys, "moment", "--lattice", path)
     assert code == 0
-    assert json.loads(out)["volume_coord"] == "1"
-    assert (len(dd), len(star)) == (1, 1)
+    payload = json.loads(out)
+    assert (payload["volume_coord"], payload["facets"], payload["vertices"]) == ("1", 6, 6)
+    assert [args[2] for args in dd] == [1]
+    assert (len(cones), len(star)) == (1, 0)
+
+
+def test_voronoi_builds_the_whole_cell_once(tmp_path, capsys, monkeypatch):
+    dd = count_calls(monkeypatch, polytope, "_vertices_dd")
+    cones = count_calls(monkeypatch, polytope, "_facet_cones")
+    path = write(tmp_path, "a2.json", F_A2)
+    code, out = run_cli(capsys, "voronoi", "--lattice", path)
+    assert code == 0
+    assert len(json.loads(out)["vertices"]) == 6
+    assert [args[2] for args in dd] == [2]
+    assert cones == []
 
 
 def test_graph_builds_one_cell_and_one_green_function(tmp_path, capsys, monkeypatch):

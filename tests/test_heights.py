@@ -388,6 +388,19 @@ def test_height_identity_monotone_in_bad_places():
     assert abs(rep1.residual) < 1e-10
 
 
+def test_period_with_a_nan_real_part_is_rejected():
+    # an infinite real part overflows in the reduction; a NaN one is refused
+    # by the same FloatRangeError before it reaches round()
+    for tau in (complex(math.nan, 1), complex(math.inf, 1)):
+        for call in (log_abs_delta, arch_local_invariant,
+                     lambda t: height_identity_report(
+                         EllipticPlaces(degree=1, nonarch=(), arch=(t,)))):
+            with pytest.raises(FloatRangeError):
+                call(tau)
+    with pytest.raises(FloatRangeError, match="NaN real part"):
+        log_abs_delta(complex(math.nan, 1))
+
+
 def test_periods_and_places_outside_the_float_range_are_rejected():
     # refused only where log|delta| itself leaves binary64: -2 pi Im tau
     # overflows, or the S-image of a subnormal Im tau does

@@ -338,13 +338,17 @@ def test_star_triangulation_rejects_vertex_set_not_closed_under_negation():
 
 
 def test_cell_is_kept_on_its_lattice_only_after_a_build_within_budget(monkeypatch):
+    # the 8 start corners fit in 10, so the cell is built and kept; its
+    # whole-cell sweep runs, and fails, at the first read of the vertices
     gram = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
     lat = validate(gram)
     monkeypatch.setattr(polytope, "VERTEX_BUDGET", 10)
-    with pytest.raises(VertexBudgetError):
-        voronoi_cell(lat)
-    monkeypatch.undo()
     cell = voronoi_cell(lat)
+    for _ in range(2):
+        with pytest.raises(VertexBudgetError):
+            cell.vertices
+        assert not {"vertices", "_scaled", "_den", "_facets", "_negation"} & cell.__dict__.keys()
+    monkeypatch.undo()
     assert (len(cell.halfspaces), len(cell.vertices)) == (12, 14)
     assert voronoi_cell(lat) is cell
     assert cell == voronoi_cell(validate(gram)) and cell is not voronoi_cell(validate(gram))
@@ -445,7 +449,7 @@ def _check_cell(gram, moment, facets, vertices, root_lattice=True):
     lat = validate(gram)
     cell = voronoi_cell(lat)
     assert len(cell.halfspaces) == facets
-    assert len(cell.vertices) == vertices
+    assert cell.vertex_count == len(cell.vertices) == vertices
     assert volume(cell) == 1
     assert second_moment(lat) == moment
     if root_lattice:  # gram is a Cartan matrix
@@ -592,7 +596,8 @@ def test_cell_vertices_do_not_depend_on_the_start(gram, dependent_start):
         firsts = list({frozenset((tuple(a[k]), tuple(-c for c in a[k]))): a[k]
                        for k in order}.values())
         skipped |= oracle_rank(firsts[:g]) < g
-        rows, den, _, _ = polytope._vertices_dd([a[k] for k in order], [b[k] for k in order], g)
+        a_k, b_k = [a[k] for k in order], [b[k] for k in order]
+        rows, den, _ = polytope._vertices_dd(a_k, b_k, g, polytope._mirrors(a_k, b_k))
         assert {tuple(F(c, den) for c in r) for r in rows} == expected
         assert rows == sorted(rows)
     assert skipped == dependent_start
@@ -610,20 +615,74 @@ def _orbit_grams():
 
 
 def test_orbit_sums_equal_the_half_star_sums(monkeypatch):
-    # one facet per orbit of <-1, reflections>, weighted by the orbit's size,
-    # against the half star weighted by 2: with the orbit search switched off
+    # one facet per orbit of <-1, reflections>, each by its own double
+    # description in g - 1 dimensions and weighted by the orbit's size,
+    # against the half star of the whole cell: with the orbit search off
     grams = _orbit_grams()
-    expected = []
+    sweeps = count_calls(monkeypatch, polytope, "_vertices_dd")
+    expected, dims = [], []
     for gram in grams:
         lat = validate(gram)
         cell = voronoi_cell(lat)
-        expected.append((second_moment(lat), volume(cell), len(star_triangulation(cell))))
+        sweeps.clear()
+        expected.append((second_moment(lat), volume(cell), cell.vertex_count))
+        dims.append([args[2] for args in sweeps])
+        merged = cell._orbits is not None
+        assert dims[-1] == ([len(gram) - 1] * len(cell._orbits) if merged else [len(gram)])
+    # A_2 + A_3 takes one facet of each summand, a sheared A_4 one facet
+    assert dims[grams.index(A2_PLUS_A3)] == [4, 4]
+    sheared_a4 = len(GOLD_GRAMS) + 3
+    assert len(grams[sheared_a4]) == 4 and grams[sheared_a4] != GOLD_GRAMS[2]
+    assert dims[sheared_a4] == [3]
     monkeypatch.setattr(polytope, "_facet_orbits", lambda normals, a, b, mirror: None)
     for gram, want in zip(grams, expected):
         lat = validate(gram)
         cell = voronoi_cell(lat)
         assert cell._orbits is None
-        assert (second_moment(lat), volume(cell), len(star_triangulation(cell))) == want
+        assert (second_moment(lat), volume(cell), cell.vertex_count) == want
+        assert cell.vertex_count == len(cell.vertices)
+
+
+def test_facet_path_on_every_pair_equals_the_half_star(monkeypatch):
+    # each pair +-u taken as an orbit of its own: one facet-local double
+    # description per pair, weighted 2, on the criterion-02 Jacobians
+    grams = [gram for gram in _criterion02_grams() if len(gram) >= 2]
+    assert len(grams) == 83
+    results = []
+    for orbits in (lambda normals, a, b, mirror: None,
+                   lambda normals, a, b, mirror: {k: 2 for k, m in enumerate(mirror) if m > k}):
+        monkeypatch.setattr(polytope, "_facet_orbits", orbits)
+        results.append([])
+        for gram in grams:
+            lat = validate(gram)
+            cell = voronoi_cell(lat)
+            results[-1].append((second_moment(lat), volume(cell), cell.vertex_count))
+    half, facet = results
+    assert facet == half
+    assert all(volume == 1 for _, volume, _ in facet)
+
+
+def test_facet_path_checks_its_vertices_and_their_count(monkeypatch):
+    # the facet sweep's vertices, moved off the facet's ridges, and an
+    # orbit whose degree sum is not a vertex count are each refused
+    sweep = polytope._vertices_dd
+
+    def scaled(num, den):
+        def dd(a, b, g, mirror):
+            rows, d, masks = sweep(a, b, g, mirror)
+            return [tuple(num * c for c in r) for r in rows], den * d, masks
+        return dd
+
+    for num, den, message in ((2, 1, "violates a half-space"), (1, 2, "tight on fewer than 2")):
+        monkeypatch.setattr(polytope, "_vertices_dd", scaled(num, den))
+        with pytest.raises(DegeneratePolytopeError, match=message):
+            volume(voronoi_cell(validate([[2, 1], [1, 2]])))
+    monkeypatch.setattr(polytope, "_vertices_dd", sweep)
+    # a rhombus of the rhombic dodecahedron A_3 has two vertices on 4
+    # facets and two on 3: one facet alone counts 1/2 + 2/3 vertices
+    monkeypatch.setattr(polytope, "_facet_orbits", lambda normals, a, b, mirror: {0: 1})
+    with pytest.raises(DegeneratePolytopeError, match="count 7/6 vertices"):
+        voronoi_cell(validate([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])).vertex_count
 
 
 def _orbit_sizes(gram):
