@@ -6,8 +6,7 @@ docs/formats.md; reports go to stdout as JSON (default) or flattened CSV.
 Exit status 0 on success, 2 on any validation failure, in which case a
 machine-readable error object naming the module and offending field path
 is printed instead.  Output is byte-identical for identical inputs,
-options and seeds, whatever the environment; ``--terms`` caps the length
-of the reduced q-series, which stops by itself within 6 terms.
+options and seeds, whatever the environment.
 
 The argument parser is built on the first call of ``main`` and is the only
 object kept for the life of the process; each command parses into a fresh
@@ -104,12 +103,6 @@ def _render(payload: dict, fmt: str) -> str:
     return json.dumps(payload, sort_keys=True) + "\n"
 
 
-def _default_terms(args) -> int:
-    if args.terms < 1:
-        raise DomainError("cli", "--terms", "must be >= 1")
-    return args.terms
-
-
 def _parse_point(text: str, module: str, path: str):
     return tuple(
         parse_rational(part.strip(), module, f"{path}[{i}]")
@@ -189,7 +182,7 @@ def _cmd_graph(args) -> dict:
 def _cmd_elliptic_height(args) -> dict:
     places = formats.load_places(formats.load_json_file(args.input, "heights"))
     try:
-        report = heights.height_identity_report(places, _default_terms(args))
+        report = heights.height_identity_report(places)
     except heights.FloatRangeError as exc:
         path = "arch" if exc.index is None else f"arch[{exc.index}].tau_im"
         raise DomainError("heights", path, str(exc)) from None
@@ -243,18 +236,17 @@ def _cmd_neron(args) -> dict:
     q_re, q_im, z_re, z_im = (formats._expect_number(v, "neron", name) for name, v in floats)
     q = complex(q_re, q_im)
     z = complex(z_re, z_im)
-    terms = _default_terms(args)
     try:
-        theta = neron.tate_theta_log_abs(q, z, terms)
+        lam, b2_term = neron._evaluate(q, z)
     except neron.BadModulusError as exc:
         raise DomainError("neron", "--q-re,--q-im", str(exc)) from None
     except (neron.AtDivisorError, neron.OutOfRangeError) as exc:
         raise DomainError("neron", "--z-re,--z-im", str(exc)) from None
     return {
         "mode": "archimedean",
-        "value": neron.tate_local_height(q, z, terms),
-        "log_abs_theta": theta.value,
-        "theta_tail_bound": theta.tail_bound,
+        "value": lam.value,
+        "log_abs_theta": b2_term - lam.value,
+        "theta_tail_bound": lam.tail_bound,
     }
 
 
@@ -328,7 +320,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("elliptic-height", help="height identity report")
     p.add_argument("--input", required=True)
-    p.add_argument("--terms", type=int, default=heights.DEFAULT_TERMS)
 
     p = sub.add_parser("ffheight", help="function-field height")
     p.add_argument("--g", type=int, required=True)
@@ -342,7 +333,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-im", type=float, dest="q_im")
     p.add_argument("--z-re", type=float, dest="z_re")
     p.add_argument("--z-im", type=float, dest="z_im")
-    p.add_argument("--terms", type=int, default=heights.DEFAULT_TERMS)
 
     p = sub.add_parser("selftest", help="seeded cross-module invariant suite")
     p.add_argument("--seed", type=int, default=7)

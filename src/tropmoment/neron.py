@@ -134,10 +134,7 @@ def tate_theta_log_abs(
     product.  In log form it satisfies log|theta(qz)| = log|theta(z)| -
     log|z|.
     """
-    q = _check_modulus(q)
-    z, log_abs_q, log_abs_z = _check_off_divisor(q, z)
-    lam = _local_height(q, z, log_abs_q, log_abs_z, _check_terms(n_terms))
-    b2_term = (-log_abs_q / 2.0) * b2(log_abs_z / log_abs_q)
+    lam, b2_term = _evaluate(q, z, n_terms)
     return SeriesValue(b2_term - lam.value, lam.tail_bound)
 
 
@@ -152,15 +149,17 @@ def tate_local_height(q: complex, z: complex, n_terms: int = DEFAULT_TERMS) -> f
     reaches 1e-15 within 6 factor pairs; n_terms caps that count.  Every
     q and z that the checks accept gives a finite value.
     """
+    return _evaluate(q, z, n_terms)[0].value
+
+
+def _evaluate(q: complex, z: complex, n_terms: int = DEFAULT_TERMS) -> tuple[SeriesValue, float]:
+    """``(lambda(z), (l/2) B2(log|z|/log|q|))`` after the input checks:
+    lambda from the reduced pair, with the tail bound of that pair's
+    product, and the B2 term at the given q and z."""
     q = _check_modulus(q)
     z, log_abs_q, log_abs_z = _check_off_divisor(q, z)
-    return _local_height(q, z, log_abs_q, log_abs_z, _check_terms(n_terms)).value
-
-
-def _local_height(q: complex, z: complex, log_abs_q: float, log_abs_z: float,
-                  n_terms: int) -> SeriesValue:
-    """lambda(z) for checked q, z and n_terms, from the reduced pair, with
-    the tail bound of that pair's product."""
+    n_terms = _check_terms(n_terms)
+    b2_term = (-log_abs_q / 2.0) * b2(log_abs_z / log_abs_q)
     if q.imag < 0 or (q.imag == 0 and z.imag < 0):  # one of each conjugate pair
         q, z = q.conjugate(), z.conjugate()
     # tau = log q / (2 pi i), u = log z / (2 pi i); abs() reads Im q = -0.0 as 0
@@ -173,8 +172,8 @@ def _local_height(q: complex, z: complex, log_abs_q: float, log_abs_z: float,
     z = cmath.exp(_TWO_PI * 1j * u)  # 0 once |z| underflows
     series = _q_product(tau, z, n_terms)
     log_theta = math.log(abs(1.0 - z)) + series.value
-    return SeriesValue(
-        (_TWO_PI * tau.imag / 2.0) * b2(u.imag / tau.imag) - log_theta, series.tail_bound)
+    lam = (_TWO_PI * tau.imag / 2.0) * b2(u.imag / tau.imag) - log_theta
+    return SeriesValue(lam, series.tail_bound), b2_term
 
 
 def tate_local_height_tropical(ell, nu) -> Fraction:

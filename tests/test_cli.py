@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -118,6 +119,14 @@ def test_graph_circle12(tmp_path, capsys):
     assert payload["total_length"] == "12"
 
 
+def test_graph_on_a_tree_has_an_empty_gram(tmp_path, capsys):
+    path = write(tmp_path, "tree.json", {"vertices": 2, "edges": [{"tail": 0, "head": 1, "length": 3}]})
+    code, out = run_cli(capsys, "graph", "--input", path)
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["betti"], payload["gram"], payload["I"]) == (0, [], "0")
+
+
 def test_moment_builds_and_triangulates_its_cell_once(tmp_path, capsys, monkeypatch):
     # the six facets of A_2 form one orbit: one sweep of one edge, in
     # dimension 1, and no sweep or half star of the whole hexagon
@@ -220,6 +229,14 @@ def test_theta_shifted(tmp_path, capsys):
     assert code == 0
     # metric nu = 3 on [[12]]: 3 * (3 - 12) / 24 = -9/8
     assert json.loads(out)["value"] == "-9/8"
+    # without --normalized: the plain theta at nu + kappa minus its value at kappa
+    code, out = run_cli(capsys, "theta", "--lattice", path, "--point", "1/4", "--kappa", "1/2")
+    assert code == 0
+    payload = json.loads(out)
+    plain = [json.loads(run_cli(capsys, "theta", "--lattice", path, "--point", p)[1])["value"]
+             for p in ("3/4", "1/2")]
+    assert payload["mode"] == "shifted0"
+    assert F(payload["value"]) == F(plain[0]) - F(plain[1])
 
 
 def test_voronoi_structure(tmp_path, capsys):
@@ -230,6 +247,14 @@ def test_voronoi_structure(tmp_path, capsys):
     assert len(payload["facets"]) == 4
     assert len(payload["vertices"]) == 4
     assert {"normal": [0, 1], "offset": "1/2"} in payload["facets"]
+    # --format csv flattens the nested lists into indexed keys
+    code, out = run_cli(capsys, "--format", "csv", "voronoi", "--lattice", path)
+    assert code == 0
+    rows = dict(line.split(",", 1) for line in out.splitlines()[1:])
+    facet = payload["facets"][0]
+    assert rows["facets[0].normal[0]"] == str(facet["normal"][0])
+    assert rows["facets[0].offset"] == facet["offset"]
+    assert rows["rank"] == "2"
 
 
 def test_elliptic_height_runs(tmp_path, capsys):
@@ -286,11 +311,16 @@ def test_neron_archimedean(capsys):
 
 
 def test_neron_archimedean_sums_one_theta_series(capsys, monkeypatch):
-    calls = count_calls(monkeypatch, neron, "tate_theta_log_abs")
+    reductions = count_calls(monkeypatch, neron, "_reduce_period")
+    products = count_calls(monkeypatch, neron, "_q_product")
     code, out = run_cli(capsys, *NERON_ARCH)
     assert code == 0
-    assert len(calls) == 1
-    assert json.loads(out)["value"] == neron.tate_local_height(0.1 + 0j, 0.5 + 0.1j)
+    assert (len(reductions), len(products)) == (1, 1)
+    payload = json.loads(out)
+    q, z = 0.1 + 0j, 0.5 + 0.1j
+    assert payload["value"] == neron.tate_local_height(q, z)
+    theta = neron.tate_theta_log_abs(q, z)
+    assert (payload["log_abs_theta"], payload["theta_tail_bound"]) == (theta.value, theta.tail_bound)
 
 
 def test_neron_mode_conflict(capsys):
@@ -310,6 +340,9 @@ def test_invalid_json_file(tmp_path, capsys):
     err = json.loads(out)["error"]
     assert err["type"] == "ParseError"
     assert err["module"] == "lattice"
+    missing = str(tmp_path / "missing.json")
+    assert_structured_error(*run_cli(capsys, "graph", "--input", missing),
+                            "ParseError", "metricgraph", missing)
 
 
 def test_oversized_rational_in_a_lattice_file_is_a_parse_error(tmp_path, capsys):
@@ -368,22 +401,6 @@ def test_csv_format(tmp_path, capsys):
     assert "I,1/6" in lines
 
 
-def test_terms_option_sets_the_series_length(tmp_path, capsys, monkeypatch):
-    path = write(
-        tmp_path,
-        "places.json",
-        {"degree": 1, "nonarch": [], "arch": [{"tau_re": 0.0, "tau_im": 1.0}]},
-    )
-    # i is already reduced, and one term of its product is off by about 8e-5
-    _, trimmed = run_cli(capsys, "elliptic-height", "--input", path, "--terms", "1")
-    _, precise = run_cli(capsys, "elliptic-height", "--input", path, "--terms", "64")
-    assert json.loads(trimmed)["lhs"] != json.loads(precise)["lhs"]
-    # the environment does not set it: the default is 64 terms
-    monkeypatch.setenv("TROPMOMENT_TERMS", "1")
-    _, default = run_cli(capsys, "elliptic-height", "--input", path)
-    assert default == precise
-
-
 def test_selftest_quick(capsys):
     code, out = run_cli(
         capsys,
@@ -422,11 +439,12 @@ def assert_structured_error(code, out, error_type, module, path):
 
 
 @pytest.mark.parametrize("argv, error_type, module, path", [
-    (NERON_ARCH + ("--terms", "0"), "DomainError", "cli", "--terms"),
-    (("elliptic-height", "--input", "{places}", "--terms", "0"),
-     "DomainError", "cli", "--terms"),
-    (("elliptic-height", "--input", "{places}", "--terms", "-3"),
-     "DomainError", "cli", "--terms"),
+    # raised in the library and reported by the command's domain handler:
+    # a point of the wrong length, and l = 0
+    (("theta", "--lattice", "{rank1}", "--point", "1,2"), "DomainError", "troptheta", "input"),
+    (("neron", "--ell", "0", "--nu", "0"), "DomainError", "neron", "input"),
+    # the path names every missing option
+    (NERON_ARCH[:3], "SchemaError", "neron", "--q-im,--z-re,--z-im"),
     (("ffheight", "--g", "0", "--hnt", "1"), "DomainError", "heights", "--g"),
     (("ffheight", "--g", "-2", "--hnt", "1"), "DomainError", "heights", "--g"),
     (NERON_ARCH[:5] + ("--z-re", "nan", "--z-im", "0.1"), "SchemaError", "neron", "--z-re"),
@@ -435,7 +453,8 @@ def assert_structured_error(code, out, error_type, module, path):
     (("neron", "--q-re", "nan") + NERON_ARCH[3:], "SchemaError", "neron", "--q-re"),
     # caught by argparse itself
     (("ffheight", "--g", "x", "--hnt", "1"), "SchemaError", "cli", "--g"),
-    (NERON_ARCH + ("--terms", "abc"), "SchemaError", "cli", "--terms"),
+    # the series picks its own length: there is no --terms option
+    (NERON_ARCH + ("--terms", "64"), "SchemaError", "cli", "arguments"),
     (("moment", "--lattice", "{lattice}", "--grid", "abc"), "SchemaError", "cli", "--grid"),
     (NERON_ARCH[:7] + ("--z-im", "-inf"), "SchemaError", "cli", "--z-im"),
     (("moment",), "SchemaError", "cli", "--lattice"),
@@ -446,11 +465,12 @@ def assert_structured_error(code, out, error_type, module, path):
     (("neron", "--ell", HUGE, "--nu", "1"), "ParseError", "neron", "--ell"),
     (("theta", "--lattice", "{lattice}", "--point", f"{HUGE},0"),
      "ParseError", "troptheta", "--point[0]"),
+    (("elliptic-height", "--input", "{lattice}", "--terms", "64"), "SchemaError", "cli", "arguments"),
 ])
 def test_malformed_arguments_exit_2(tmp_path, capsys, argv, error_type, module, path):
-    places = write(tmp_path, "places.json", F_PLACES)
     lattice = write(tmp_path, "a2.json", F_A2)
-    argv = [a.replace("{places}", places).replace("{lattice}", lattice) for a in argv]
+    rank1 = write(tmp_path, "z.json", {"rank": 1, "gram": [[2]]})
+    argv = [a.replace("{lattice}", lattice).replace("{rank1}", rank1) for a in argv]
     assert_structured_error(*run_cli(capsys, *argv), error_type, module, path)
 
 
@@ -503,11 +523,10 @@ def test_extreme_finite_z_off_the_divisor_evaluates(capsys):
     assert all(math.isfinite(payload[k]) for k in ("value", "log_abs_theta", "theta_tail_bound"))
 
 
-def test_series_past_the_term_budget_exit_2(tmp_path, capsys):
+def test_inputs_near_the_cusp_reduce_and_print_finite_values(tmp_path, capsys, monkeypatch):
     # the raw series would need about 1e10 terms; both reduce first, and
     # every float they print is finite
-    argv = ("neron", "--q-re", "0.99999999", "--q-im", "0", "--z-re", "-1",
-            "--z-im", "0", "--terms", "1000000000")
+    argv = ("neron", "--q-re", "0.99999999", "--q-im", "0", "--z-re", "-1", "--z-im", "0")
     code, out = run_cli(capsys, *argv)
     assert code == 0
     payload = json.loads(out)
@@ -515,12 +534,14 @@ def test_series_past_the_term_budget_exit_2(tmp_path, capsys):
     places = {"degree": 2, "nonarch": [],
               "arch": [{"tau_re": 0, "tau_im": 1}, {"tau_re": 0, "tau_im": 1e-9}]}
     file = write(tmp_path, "places.json", places)
-    code, out = run_cli(capsys, "elliptic-height", "--input", file,
-                        "--terms", "1000000000")
+    code, out = run_cli(capsys, "elliptic-height", "--input", file)
     assert code == 0
     report = json.loads(out)
     floats = [report["lhs"], report["rhs"], report["residual"]]
     assert all(math.isfinite(x) for x in floats + [t["invariant"] for t in report["terms"]["arch"]])
+    # no environment variable changes a report
+    monkeypatch.setenv("TROPMOMENT_TERMS", "1")
+    assert run_cli(capsys, "elliptic-height", "--input", file) == (0, out)
 
 
 def test_neron_reads_one_pair_near_the_unit_circle(capsys):
@@ -528,7 +549,7 @@ def test_neron_reads_one_pair_near_the_unit_circle(capsys):
     # pair, and lambda(-1) = -pi^2 / (6 l) + O(l) as l -> 0
     start = time.perf_counter()
     code, out = run_cli(capsys, "neron", "--q-re", "0.99999999", "--q-im", "0",
-                        "--z-re", "-1", "--z-im", "0", "--terms", "1000000000")
+                        "--z-re", "-1", "--z-im", "0")
     assert time.perf_counter() - start < 0.1
     assert code == 0
     payload = json.loads(out)

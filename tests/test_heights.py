@@ -222,6 +222,10 @@ def test_places_degree_must_be_an_int():
 def test_identity_rhs_degree_must_be_an_int():
     with pytest.raises(ValueError, match=re.escape("degree must be an int, got 1.5")):
         height_identity_rhs(1, 0.0, [], [], 1.5)
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        height_identity_rhs(1, 0.0, [], [], 0)
+    with pytest.raises(ValueError, match="g must be >= 1"):
+        height_identity_rhs(0, 0.0, [], [], 1)
     assert height_identity_rhs(1, 0.0, [], [], 1) == -KAPPA0
 
 
@@ -251,6 +255,8 @@ def test_series_term_counts_must_be_ints():
                  lambda: height_identity_report(places, 64.0)):
         with pytest.raises(ValueError, match="n_terms must be an int"):
             call()
+    with pytest.raises(ValueError, match="n_terms must be >= 1"):
+        log_abs_delta(1j, 0)
 
 
 def test_faltings_height_good_reduction_closed_form():

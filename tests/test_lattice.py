@@ -118,6 +118,10 @@ def test_validate_rejects_asymmetric():
 def test_validate_rejects_nonsquare():
     with pytest.raises(DimensionMismatchError):
         validate([[1, 0]])
+    with pytest.raises(DimensionMismatchError, match="not 2x2"):
+        GramLattice(rank=2, gram=((1,),))
+    with pytest.raises(LatticeError, match="rank must be >= 1"):
+        GramLattice(rank=0, gram=())
 
 
 def test_validate_rejects_floats():

@@ -67,6 +67,14 @@ def test_query_point_of_another_type_is_refused():
         effective_resistance(graph, (0, F(1, 2)), 1)
 
 
+def test_query_point_off_the_graph_is_refused():
+    graph = theta_graph(1, 2, 3)
+    with pytest.raises(ValueError, match="vertex id 2 out of range"):
+        effective_resistance(graph, 0, 2)
+    with pytest.raises(ValueError, match="offset is outside the edge"):
+        effective_resistance(graph, 0, GraphPoint(0, F(3, 2)))
+
+
 def test_disconnected_rejected():
     with pytest.raises(DisconnectedGraphError):
         make_graph(3, [(0, 1, 1)])

@@ -62,6 +62,8 @@ def test_theta_at_divisor_raises():
         tate_theta_log_abs(0.5, 1.0 + 1e-12)
     with pytest.raises(AtDivisorError):
         tate_theta_log_abs(0.5, 0.125 * (1 + 1e-12))  # q^3
+    with pytest.raises(AtDivisorError, match="z must be nonzero"):
+        tate_local_height(0.5, 0)
     # far from the divisor: fine
     tate_theta_log_abs(0.5, -1.0)
 
@@ -210,6 +212,8 @@ def test_component_multiplicity_values():
         component_multiplicity(5, 5)
     with pytest.raises(OutOfRangeError):
         component_multiplicity(-1, 5)
+    with pytest.raises(BadModulusError, match="l must be a positive integer"):
+        component_multiplicity(0, 0)
 
 
 def test_component_multiplicity_needs_integer_arguments():

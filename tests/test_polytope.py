@@ -348,6 +348,7 @@ def test_cell_is_kept_on_its_lattice_only_after_a_build_within_budget(monkeypatc
         with pytest.raises(VertexBudgetError):
             cell.vertices
         assert not {"vertices", "_scaled", "_den", "_facets", "_negation"} & cell.__dict__.keys()
+    assert getattr(cell, "missing", None) is None  # only those names are built lazily
     monkeypatch.undo()
     assert (len(cell.halfspaces), len(cell.vertices)) == (12, 14)
     assert voronoi_cell(lat) is cell
